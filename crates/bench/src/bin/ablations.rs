@@ -22,7 +22,8 @@
 //! baseline configuration's cells are shared with `table1` through the
 //! artifact cache.
 
-use eel_bench::engine::{jobs_from_args, Engine};
+use eel_bench::cli::parse_env;
+use eel_bench::engine::Engine;
 use eel_bench::experiment::{mean_pct_hidden, ExperimentConfig, Row};
 use eel_core::{Priority, SchedOptions};
 use eel_pipeline::MachineModel;
@@ -52,17 +53,6 @@ fn sweep_benchmarks() -> Vec<Benchmark> {
         .collect()
 }
 
-fn shipped_models() -> Vec<MachineModel> {
-    vec![
-        MachineModel::hypersparc(),
-        MachineModel::supersparc(),
-        MachineModel::ultrasparc(),
-        MachineModel::microsparc(),
-        MachineModel::vliw(),
-        MachineModel::deepsparc(),
-    ]
-}
-
 fn run_with(
     cfg: &ExperimentConfig,
     model: &MachineModel,
@@ -75,14 +65,13 @@ fn run_with(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = jobs_from_args(&args);
-    let sweep_only = args.iter().any(|a| a == "--sweep-only");
-    let iterations = args
-        .iter()
-        .position(|a| a == "--iterations")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse::<u32>().expect("--iterations expects a number"));
+    let (jobs, sweep_only, iterations) = parse_env("ablations", |args| {
+        Ok((
+            args.jobs()?,
+            args.flag("--sweep-only"),
+            args.parsed::<u32>("--iterations")?,
+        ))
+    });
     let model = MachineModel::ultrasparc();
     let base_cfg = ExperimentConfig {
         iterations,
@@ -168,7 +157,7 @@ fn main() {
     }
     println!();
     let mut lines = Vec::new();
-    for machine in shipped_models() {
+    for machine in MachineModel::shipped() {
         print!("{:<12}", machine.name());
         for priority in policies {
             let mut cfg = base_cfg.clone();

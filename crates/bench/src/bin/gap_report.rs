@@ -12,7 +12,7 @@
 //! iteration counts, `--budget N` caps search nodes per block
 //! (default 65536).
 
-use eel_bench::engine::jobs_from_args;
+use eel_bench::cli::{machine, parse_env};
 use eel_bench::gap::{format_gap_report, gap_table};
 use eel_core::DEFAULT_EXACT_BUDGET;
 use eel_pipeline::MachineModel;
@@ -23,43 +23,23 @@ fn golden_pair() -> Vec<Benchmark> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let models: Vec<MachineModel> = match args
-        .iter()
-        .position(|a| a == "--machine")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        None => vec![MachineModel::ultrasparc(), MachineModel::hypersparc()],
-        Some("ultrasparc") => vec![MachineModel::ultrasparc()],
-        Some("hypersparc") => vec![MachineModel::hypersparc()],
-        Some("supersparc") => vec![MachineModel::supersparc()],
-        Some("microsparc") => vec![MachineModel::microsparc()],
-        Some("vliw") => vec![MachineModel::vliw()],
-        Some("deepsparc") => vec![MachineModel::deepsparc()],
-        Some(other) => {
-            eprintln!(
-                "gap_report: unknown machine `{other}` (try: ultrasparc, hypersparc, \
-                 supersparc, microsparc, vliw, deepsparc)"
-            );
-            std::process::exit(2);
-        }
-    };
-    let full = args.iter().any(|a| a == "--full");
-    let iterations = if args.iter().any(|a| a == "--quick") {
-        Some(40)
-    } else {
-        None
-    };
-    let budget = args
-        .iter()
-        .position(|a| a == "--budget")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse::<u32>().expect("--budget takes a node count"))
-        .unwrap_or(DEFAULT_EXACT_BUDGET);
+    let (models, full, quick, budget, jobs) = parse_env("gap_report", |args| {
+        let models = match args.value("--machine")? {
+            Some(name) => vec![machine(&name)?],
+            None => vec![MachineModel::ultrasparc(), MachineModel::hypersparc()],
+        };
+        Ok((
+            models,
+            args.flag("--full"),
+            args.flag("--quick"),
+            args.parsed::<u32>("--budget")?,
+            args.jobs()?,
+        ))
+    });
+    let iterations = quick.then_some(40);
+    let budget = budget.unwrap_or(DEFAULT_EXACT_BUDGET);
     let benchmarks = if full { spec95() } else { golden_pair() };
     let scope = if full { "SPEC95" } else { "golden subset" };
-    let jobs = jobs_from_args(&args);
     let mut nodes = 0u64;
     for (k, model) in models.iter().enumerate() {
         let rows = gap_table(model, &benchmarks, iterations, budget, jobs);

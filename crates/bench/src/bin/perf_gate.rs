@@ -23,7 +23,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use eel_bench::engine::{jobs_from_env, Engine};
+use eel_bench::cli::parse_env;
+use eel_bench::engine::Engine;
 use eel_bench::experiment::ExperimentConfig;
 use eel_bench::report::{gate, workspace_root};
 use eel_pipeline::MachineModel;
@@ -48,38 +49,24 @@ struct Args {
     jobs: usize,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        update_baseline: false,
-        baseline: default_baseline_path(),
-        report: None,
-        tolerance: std::env::var("PERF_GATE_TOLERANCE")
+fn parse_args() -> Args {
+    parse_env("perf_gate", |args| {
+        let env_tolerance = std::env::var("PERF_GATE_TOLERANCE")
             .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(15.0),
-        jobs: jobs_from_env(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
-        match a.as_str() {
-            "--update-baseline" => args.update_baseline = true,
-            "--baseline" => args.baseline = PathBuf::from(value("--baseline")?),
-            "--report" => args.report = Some(PathBuf::from(value("--report")?)),
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|_| "--tolerance must be a number (percent)".to_string())?;
-            }
-            "--jobs" => {
-                args.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs must be a positive integer".to_string())?;
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    Ok(args)
+            .and_then(|v| v.trim().parse().ok());
+        Ok(Args {
+            update_baseline: args.flag("--update-baseline"),
+            baseline: args
+                .value("--baseline")?
+                .map_or_else(default_baseline_path, PathBuf::from),
+            report: args.value("--report")?.map(PathBuf::from),
+            tolerance: args
+                .parsed("--tolerance")?
+                .or(env_tolerance)
+                .unwrap_or(15.0),
+            jobs: args.jobs()?,
+        })
+    })
 }
 
 fn fresh_report(jobs: usize) -> RunReport {
@@ -110,13 +97,7 @@ fn load_baseline(path: &PathBuf) -> Result<RunReport, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("perf_gate: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = parse_args();
 
     // Validate the baseline before spending minutes measuring.
     let baseline = if args.update_baseline {

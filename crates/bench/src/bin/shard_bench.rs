@@ -19,10 +19,11 @@
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
+use eel_bench::cli::{err, parse_env};
 use eel_bench::engine::Engine;
 use eel_bench::experiment::ExperimentConfig;
 use eel_bench::report::{results_dir, workspace_root, Trajectory};
-use eel_bench::shard::{value_from_args, ShardSpec};
+use eel_bench::shard::ShardSpec;
 use eel_pipeline::MachineModel;
 use eel_workloads::{load_corpus, Benchmark};
 
@@ -31,19 +32,10 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn corpus_from(args: &[String]) -> Vec<Benchmark> {
-    let spec = value_from_args(args, "--corpus").unwrap_or_else(|| "full".to_string());
-    load_corpus(&spec).unwrap_or_else(|e| fail(&e.to_string()))
-}
-
 /// Worker mode: run one shard of the corpus over the shared cache
 /// (`EEL_CACHE_DIR` is set by the driver) and exit.
-fn worker(args: &[String], spec: &str) -> ! {
-    let shard = spec
-        .parse::<ShardSpec>()
-        .unwrap_or_else(|e| fail(&e.to_string()));
-    let corpus = corpus_from(args);
-    let mine: Vec<Benchmark> = shard.filter(&corpus).into_iter().map(|(_, b)| b).collect();
+fn worker(corpus: &[Benchmark], shard: ShardSpec) -> ! {
+    let mine: Vec<Benchmark> = shard.filter(corpus).into_iter().map(|(_, b)| b).collect();
     let cfg = ExperimentConfig::default();
     let engine = Engine::new(&MachineModel::ultrasparc(), &cfg).with_default_disk_cache();
     let rows = engine.run_table(&mine, false, 1);
@@ -51,11 +43,10 @@ fn worker(args: &[String], spec: &str) -> ! {
     std::process::exit(0);
 }
 
-fn run_config(args: &[String], shards: u32) -> u64 {
+fn run_config(corpus_spec: &str, shards: u32) -> u64 {
     let dir = workspace_root().join(format!("target/eel-artifacts-shardbench{shards}"));
     let _ = std::fs::remove_dir_all(&dir);
     let exe = std::env::current_exe().unwrap_or_else(|e| fail(&e.to_string()));
-    let corpus_spec = value_from_args(args, "--corpus").unwrap_or_else(|| "full".to_string());
     let t = Instant::now();
     let children: Vec<_> = (1..=shards)
         .map(|i| {
@@ -63,7 +54,7 @@ fn run_config(args: &[String], shards: u32) -> u64 {
                 .arg("--worker")
                 .arg(format!("{i}/{shards}"))
                 .arg("--corpus")
-                .arg(&corpus_spec)
+                .arg(corpus_spec)
                 .env("EEL_CACHE_DIR", &dir)
                 .env("EEL_JOBS", "1")
                 .stdout(Stdio::null())
@@ -84,17 +75,26 @@ fn run_config(args: &[String], shards: u32) -> u64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(spec) = value_from_args(&args, "--worker") {
-        worker(&args, &spec);
+    let (corpus_spec, shards, worker_spec) = parse_env("shard_bench", |args| {
+        let worker_spec = args
+            .value("--worker")?
+            .map(|s| s.parse::<ShardSpec>().map_err(|e| err(e.to_string())))
+            .transpose()?;
+        Ok((
+            args.value("--corpus")?
+                .unwrap_or_else(|| "full".to_string()),
+            args.parsed::<u32>("--shards")?.unwrap_or(4),
+            worker_spec,
+        ))
+    });
+    let corpus = load_corpus(&corpus_spec).unwrap_or_else(|e| fail(&e.to_string()));
+    if let Some(shard) = worker_spec {
+        worker(&corpus, shard);
     }
-    let shards: u32 = value_from_args(&args, "--shards")
-        .map(|v| v.parse().unwrap_or_else(|_| fail("bad --shards")))
-        .unwrap_or(4);
-    let n_benchmarks = corpus_from(&args).len();
+    let n_benchmarks = corpus.len();
     println!("shard_bench: {n_benchmarks} benchmarks, 1 vs {shards} worker processes, cold cache");
-    let wall1 = run_config(&args, 1);
-    let walln = run_config(&args, shards);
+    let wall1 = run_config(&corpus_spec, 1);
+    let walln = run_config(&corpus_spec, shards);
     let speedup = wall1 as f64 / walln as f64;
     println!("  1 shard : {:>8.2} s", wall1 as f64 / 1e9);
     println!(

@@ -9,7 +9,8 @@
 //! fast smoke run. Attribution runs are never cached (profiles are
 //! not cells), so this binary always simulates.
 
-use eel_bench::engine::{jobs_from_args, Attribution, Engine};
+use eel_bench::cli::parse_env;
+use eel_bench::engine::{Attribution, Engine};
 use eel_bench::experiment::ExperimentConfig;
 use eel_pipeline::MachineModel;
 use eel_workloads::spec95;
@@ -53,18 +54,16 @@ fn report(model: &MachineModel, attrs: &[Attribution]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (jobs, quick) = parse_env("stall_breakdown", |args| {
+        Ok((args.jobs()?, args.flag("--quick")))
+    });
     let model = MachineModel::ultrasparc();
     let cfg = ExperimentConfig {
-        iterations: if args.iter().any(|a| a == "--quick") {
-            Some(40)
-        } else {
-            None
-        },
+        iterations: quick.then_some(40),
         ..ExperimentConfig::default()
     };
     let engine = Engine::new(&model, &cfg);
-    let attrs = engine.attribute_table(&spec95(), jobs_from_args(&args));
+    let attrs = engine.attribute_table(&spec95(), jobs);
     report(&model, &attrs);
     eprintln!("{}", engine.stats().report());
 }

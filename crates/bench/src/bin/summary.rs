@@ -6,15 +6,15 @@
 //! Table 1 and Table 3 measurements, so with a warm artifact cache
 //! this binary simulates nothing.
 
-use eel_bench::engine::{jobs_from_args, Engine};
+use eel_bench::cli::parse_env;
+use eel_bench::engine::Engine;
 use eel_bench::experiment::{mean_pct_hidden, ExperimentConfig, Row};
 use eel_bench::report::publish_engine_report;
 use eel_pipeline::MachineModel;
 use eel_workloads::{spec95, Suite};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = jobs_from_args(&args);
+    let jobs = parse_env("summary", |args| args.jobs());
     let cfg = ExperimentConfig::default();
     let benchmarks = spec95();
     let mut int_avgs = Vec::new();

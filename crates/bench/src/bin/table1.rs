@@ -2,23 +2,13 @@
 //! on the UltraSPARC, scheduled without first rescheduling the
 //! original instructions.
 //!
-//! Flags: `--csv` for machine-readable output, `--jobs N` for the
-//! worker count (default `$EEL_JOBS`, then all cores), plus the
-//! sharding surface shared with the other tables: `--shard I/N` runs
-//! one 1-indexed slice of the corpus over the shared artifact cache,
-//! `--rows FILE` saves the slice's rows for `eel merge --rows`, and
-//! `--corpus golden|full|FILE` picks the benchmark set. Partial runs
-//! never publish to the results trajectory.
+//! This is `eel experiment` under the [`TABLE1`] preset; it takes the
+//! shared flags of [`eel_bench::experiment::USAGE`] (printed by `eel help`).
 
-use eel_bench::shard::table_main;
-use eel_pipeline::MachineModel;
+use std::process::ExitCode;
 
-fn main() {
-    table_main(
-        "Table 1: Slow profiling instrumentation on the UltraSPARC",
-        "ultrasparc",
-        &MachineModel::ultrasparc(),
-        false,
-        "table1",
-    );
+use eel_bench::experiment::{main as experiment_main, TABLE1};
+
+fn main() -> ExitCode {
+    experiment_main(&TABLE1)
 }

@@ -3,23 +3,16 @@
 //! EEL*, factoring out the effect of EEL's scheduler on already
 //! optimized code.
 //!
-//! Flags: `--csv` for machine-readable output, `--jobs N` for the
-//! worker count (default `$EEL_JOBS`, then all cores), plus `--shard
-//! I/N`, `--rows FILE`, and `--corpus NAME|FILE` (see `table1`). The
-//! `Uninst` and `Sched` cells are shared with `table1` through the
-//! artifact cache — after a `table1` run only the rescheduled
-//! baselines and their instrumented runs are simulated, and shard
-//! workers contend for those shared cells via the cache's file locks.
+//! This is `eel experiment --reschedule` under the [`TABLE2`] preset;
+//! it takes the shared flags of [`eel_bench::experiment::USAGE`]
+//! (printed by `eel help`). The `Uninst` and `Sched` cells are shared with
+//! `table1` through the artifact cache — after a `table1` run only the
+//! rescheduled baselines and their instrumented runs are simulated.
 
-use eel_bench::shard::table_main;
-use eel_pipeline::MachineModel;
+use std::process::ExitCode;
 
-fn main() {
-    table_main(
-        "Table 2: Slow profiling on the UltraSPARC, originals first rescheduled by EEL",
-        "ultrasparc",
-        &MachineModel::ultrasparc(),
-        true,
-        "table2",
-    );
+use eel_bench::experiment::{main as experiment_main, TABLE2};
+
+fn main() -> ExitCode {
+    experiment_main(&TABLE2)
 }

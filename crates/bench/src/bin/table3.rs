@@ -1,21 +1,14 @@
 //! Regenerates the paper's **Table 3**: slow profiling instrumentation
 //! on the SuperSPARC.
 //!
-//! Flags: `--csv` for machine-readable output, `--jobs N` for the
-//! worker count (default `$EEL_JOBS`, then all cores), plus `--shard
-//! I/N`, `--rows FILE`, and `--corpus NAME|FILE` (see `table1`).
-//! Shares the on-disk artifact cache with the other table binaries;
-//! partial runs never publish to the results trajectory.
+//! This is `eel experiment --machine supersparc` under the [`TABLE3`]
+//! preset; it takes the shared flags of
+//! [`eel_bench::experiment::USAGE`] (printed by `eel help`).
 
-use eel_bench::shard::table_main;
-use eel_pipeline::MachineModel;
+use std::process::ExitCode;
 
-fn main() {
-    table_main(
-        "Table 3: Slow profiling instrumentation on the SuperSPARC",
-        "supersparc",
-        &MachineModel::supersparc(),
-        false,
-        "table3",
-    );
+use eel_bench::experiment::{main as experiment_main, TABLE3};
+
+fn main() -> ExitCode {
+    experiment_main(&TABLE3)
 }

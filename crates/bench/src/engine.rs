@@ -29,7 +29,7 @@
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -39,7 +39,7 @@ use eel_pipeline::{MachineModel, StallProfile};
 use eel_qpt::{ProfileOptions, Profiler};
 use eel_sim::{run_with, RunConfig, RunResult, SimError};
 use eel_telemetry::trace::OwnedEvent;
-use eel_telemetry::{Registry, RunReport, TraceFile, Traced, Tracer};
+use eel_telemetry::{fnv1a, Registry, RunReport, Snapshot, TraceFile, Traced, Tracer};
 use eel_workloads::{Benchmark, BuildOptions, Suite};
 
 use crate::experiment::{ExperimentConfig, Row};
@@ -72,9 +72,9 @@ enum Stage {
 
 const STAGE_NAMES: [&str; 5] = ["build", "baseline", "instrument", "schedule", "runs"];
 
-/// Per-stage wall-time histogram sites (one sample per `stage()`
-/// closure, so the distribution of stage chunks is visible, not just
-/// the totals the [`Stats`] atomics keep).
+/// Per-stage wall-time histogram sites: one sample per `stage()`
+/// closure, so the distribution of stage chunks is visible, and their
+/// sums are the stage totals [`Stats`] and the run report print.
 const STAGE_SITES: [&str; 5] = [
     "engine.stage.build_ns",
     "engine.stage.baseline_ns",
@@ -83,46 +83,62 @@ const STAGE_SITES: [&str; 5] = [
     "engine.stage.runs_ns",
 ];
 
-/// Counters the engine accumulates across all measurements; printed by
+/// The engine's counters and stage times: a view over one snapshot of
+/// its telemetry registry, where each of them is recorded. Printed by
 /// the table binaries as a closing stats line.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone)]
 pub struct Stats {
-    sims: AtomicU64,
-    mem_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    computed: AtomicU64,
-    stall_queries: AtomicU64,
-    stage_nanos: [AtomicU64; 5],
+    snapshot: Snapshot,
 }
 
 impl Stats {
+    fn counter(&self, site: &str) -> u64 {
+        self.snapshot.counters.get(site).copied().unwrap_or(0)
+    }
+
     /// Simulator invocations actually performed.
     pub fn sims(&self) -> u64 {
-        self.sims.load(Ordering::Relaxed)
+        self.counter("engine.sims")
     }
 
     /// Cells answered from the in-process map.
     pub fn mem_hits(&self) -> u64 {
-        self.mem_hits.load(Ordering::Relaxed)
+        self.counter("engine.cache.mem_hits")
     }
 
     /// Cells answered from the on-disk artifact cache.
     pub fn disk_hits(&self) -> u64 {
-        self.disk_hits.load(Ordering::Relaxed)
+        self.counter("engine.cache.disk_hits")
     }
 
     /// Cells computed cold (each one simulator invocation).
     pub fn computed(&self) -> u64 {
-        self.computed.load(Ordering::Relaxed)
+        self.counter("engine.cells.computed")
     }
 
     /// `pipeline_stalls` queries issued by the scheduling stages — the
     /// hot-path work behind the `schedule` stage time.
     pub fn stall_queries(&self) -> u64 {
-        self.stall_queries.load(Ordering::Relaxed)
+        self.counter("sched.queries")
+    }
+
+    /// Wall nanoseconds per stage, in pipeline order: the sums of the
+    /// `engine.stage.*_ns` histograms, 0 for a stage that never ran.
+    fn stage_nanos(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        STAGE_NAMES
+            .into_iter()
+            .zip(STAGE_SITES)
+            .map(|(name, site)| {
+                let nanos = self.snapshot.histograms.get(site).map_or(0, |h| h.sum);
+                (name, nanos)
+            })
     }
 
     /// A two-line human-readable summary for the end of a run.
+    ///
+    /// The scheduler line divides the whole `schedule` stage — which
+    /// also builds dependence graphs and emits code — by the stall
+    /// queries, so its ns per query is not a single query's latency.
     pub fn report(&self) -> String {
         use std::fmt::Write;
         let mut out = format!(
@@ -136,16 +152,18 @@ impl Stats {
             self.computed(),
             if self.computed() == 1 { "" } else { "s" },
         );
-        for (name, nanos) in STAGE_NAMES.iter().zip(&self.stage_nanos) {
-            let secs = nanos.load(Ordering::Relaxed) as f64 / 1e9;
-            let _ = write!(out, " {name} {secs:.2}s");
+        let mut sched_nanos = 0;
+        for (name, nanos) in self.stage_nanos() {
+            let _ = write!(out, " {name} {:.2}s", nanos as f64 / 1e9);
+            if name == "schedule" {
+                sched_nanos = nanos;
+            }
         }
         let queries = self.stall_queries();
         if queries > 0 {
-            let sched_nanos = self.stage_nanos[Stage::Schedule as usize].load(Ordering::Relaxed);
             let _ = write!(
                 out,
-                "\nscheduler: {} stall quer{} ({:.0} ns/query)",
+                "\nscheduler: {} stall quer{} ({:.0} schedule-stage ns per query)",
                 queries,
                 if queries == 1 { "y" } else { "ies" },
                 sched_nanos as f64 / queries as f64,
@@ -166,7 +184,6 @@ pub struct Engine {
     cfg: ExperimentConfig,
     disk: Option<PathBuf>,
     mem: Mutex<HashMap<u64, CellValue>>,
-    stats: Stats,
     telemetry: Registry,
     tracer: Option<Arc<Tracer>>,
     flight_dir: Option<PathBuf>,
@@ -186,7 +203,6 @@ impl Engine {
             cfg: cfg.clone(),
             disk: None,
             mem: Mutex::new(HashMap::new()),
-            stats: Stats::default(),
             telemetry: Registry::new(),
             tracer: None,
             flight_dir: None,
@@ -257,9 +273,11 @@ impl Engine {
         self.with_disk_cache(dir)
     }
 
-    /// The engine's accumulated counters and stage timings.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    /// The engine's accumulated counters and stage timings, as of now.
+    pub fn stats(&self) -> Stats {
+        Stats {
+            snapshot: self.telemetry.snapshot(),
+        }
     }
 
     /// The engine's live telemetry registry. Every simulator run,
@@ -276,9 +294,8 @@ impl Engine {
             .map(|t| t.span("engine", STAGE_NAMES[stage as usize], 0, 0));
         let t = Instant::now();
         let v = f();
-        let nanos = t.elapsed().as_nanos() as u64;
-        self.stats.stage_nanos[stage as usize].fetch_add(nanos, Ordering::Relaxed);
-        self.telemetry.record(STAGE_SITES[stage as usize], nanos);
+        self.telemetry
+            .record(STAGE_SITES[stage as usize], t.elapsed().as_nanos() as u64);
         drop(trace);
         v
     }
@@ -330,18 +347,22 @@ impl Engine {
         }
     }
 
-    fn sim(&self, stage: Stage, exe: &Executable, measured: &MachineModel) -> RunResult {
-        self.stats.sims.fetch_add(1, Ordering::Relaxed);
+    fn sim(
+        &self,
+        stage: Stage,
+        exe: &Executable,
+        measured: &MachineModel,
+        config: &RunConfig,
+    ) -> RunResult {
         self.telemetry.add("engine.sims", 1);
-        let config = self.run_config();
         self.stage(stage, || match self.tracer.as_deref() {
-            None => run_with(exe, Some(measured), &config, &self.telemetry)
+            None => run_with(exe, Some(measured), config, &self.telemetry)
                 .expect("generated workloads execute without faults"),
             Some(tracer) => {
                 // Names the stage a later fault dump belongs to.
                 tracer.instant("engine", "sim_start", stage as u64, 0);
                 let sink = Traced::new(&self.telemetry, tracer);
-                match run_with(exe, Some(measured), &config, &sink) {
+                match run_with(exe, Some(measured), config, &sink) {
                     Ok(r) => r,
                     Err(e) => self.flight_abort(tracer, stage, &e),
                 }
@@ -395,7 +416,6 @@ impl Engine {
     fn cell(&self, key: u64, compute: impl FnOnce() -> CellValue) -> CellValue {
         let tracer = self.tracer.as_deref();
         if let Some(&v) = self.mem.lock().expect("cache lock").get(&key) {
-            self.stats.mem_hits.fetch_add(1, Ordering::Relaxed);
             self.telemetry.add("engine.cache.mem_hits", 1);
             if let Some(t) = tracer {
                 t.instant("cell", "mem_hit", key, 0);
@@ -403,7 +423,6 @@ impl Engine {
             return v;
         }
         if let Some(v) = self.disk_get(key) {
-            self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
             self.telemetry.add("engine.cache.disk_hits", 1);
             if let Some(t) = tracer {
                 t.instant("cell", "disk_hit", key, 0);
@@ -437,7 +456,6 @@ impl Engine {
         });
         if lock.as_ref().is_some_and(Option::is_some) {
             if let Some(v) = self.disk_get(key) {
-                self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.add("engine.cache.disk_hits", 1);
                 self.telemetry.add("engine.cache.lock_races_won", 1);
                 if let Some(t) = tracer {
@@ -450,7 +468,6 @@ impl Engine {
         let compute_trace = tracer.map(|t| t.span("cell", "compute", key, 0));
         let v = compute();
         drop(compute_trace);
-        self.stats.computed.fetch_add(1, Ordering::Relaxed);
         self.telemetry.add("engine.cells.computed", 1);
         self.disk_put(key, v);
         self.mem.lock().expect("cache lock").insert(key, v);
@@ -497,6 +514,32 @@ impl Engine {
         }
     }
 
+    /// The per-benchmark steps every measurement shares: the scheduler
+    /// and measured machine of this configuration, and the lazily
+    /// built executables.
+    fn steps<'e>(&'e self, bench: &'e Benchmark) -> Steps<'e> {
+        let sched_model = self
+            .cfg
+            .scheduler_model
+            .clone()
+            .unwrap_or_else(|| self.model.clone());
+        Steps {
+            engine: self,
+            bench,
+            scheduler: Scheduler::with_options(sched_model, self.cfg.sched),
+            measured: self.model.with_load_latency_bias(self.cfg.mem_bias),
+            // With a tracer, scheduling goes through the traced sink so
+            // per-block `sched` spans land in the timeline; without
+            // one, the plain Registry monomorphization runs.
+            traced: self
+                .tracer
+                .as_deref()
+                .map(|t| Traced::new(&self.telemetry, t)),
+            original: OnceCell::new(),
+            rescheduled: OnceCell::new(),
+        }
+    }
+
     /// Runs (or recalls) the staged measurement for one benchmark.
     ///
     /// `reschedule_first` selects the Table 2 protocol: EEL first
@@ -504,65 +547,30 @@ impl Engine {
     /// rescheduled executable becomes the baseline for the
     /// instrumented-unscheduled measurement.
     pub fn measure(&self, bench: &Benchmark, reschedule_first: bool) -> Row {
-        let sched_model = self
-            .cfg
-            .scheduler_model
-            .clone()
-            .unwrap_or_else(|| self.model.clone());
-        let scheduler = Scheduler::with_options(sched_model, self.cfg.sched);
-        let measured = self.model.with_load_latency_bias(self.cfg.mem_bias);
-        // With a tracer, scheduling goes through the traced sink so
-        // per-block `sched` spans land in the timeline; without one,
-        // the plain Registry monomorphization runs.
-        let traced = self
-            .tracer
-            .as_deref()
-            .map(|t| Traced::new(&self.telemetry, t));
-
-        // Stage 1: build — lazy, shared by every cell that misses.
-        let original: OnceCell<Executable> = OnceCell::new();
-        let build_original = || {
-            self.stage(Stage::Build, || {
-                bench.build(&BuildOptions {
-                    iterations: self.cfg.iterations,
-                    optimize: Some(measured.clone()),
-                })
-            })
-        };
-        let rescheduled: OnceCell<Executable> = OnceCell::new();
-        let build_rescheduled = || {
-            let orig = original.get_or_init(&build_original);
-            let session = EditSession::new(orig).expect("analyzable");
-            self.stage(Stage::Schedule, || {
-                match &traced {
-                    Some(ts) => session.emit(scheduler.transform_with(ts)),
-                    None => session.emit(scheduler.transform_with(&self.telemetry)),
-                }
-                .expect("rescheduling preserves structure")
-            })
+        let steps = self.steps(bench);
+        let config = self.run_config();
+        let run = |stage: Stage, exe: &Executable, baseline: bool| {
+            let r = self.sim(stage, exe, &steps.measured, &config);
+            CellValue {
+                cycles: r.cycles,
+                exit_code: r.exit_code,
+                avg_bb: if baseline {
+                    dynamic_avg_bb(exe, &r)
+                } else {
+                    0.0
+                },
+            }
         };
 
         // Stage 2: baseline run(s).
         let uninst = self.cell(self.cell_key(bench, "uninst", false, false), || {
-            let exe = original.get_or_init(&build_original);
-            let r = self.sim(Stage::Baseline, exe, &measured);
-            CellValue {
-                cycles: r.cycles,
-                exit_code: r.exit_code,
-                avg_bb: dynamic_avg_bb(exe, &r),
-            }
+            run(Stage::Baseline, steps.original(), true)
         });
         let (baseline, resched_ratio) = if reschedule_first {
             // The rescheduled baseline is simulated exactly once; its
             // cell serves both the ratio and the Uninst column.
             let resched = self.cell(self.cell_key(bench, "resched", true, false), || {
-                let exe = rescheduled.get_or_init(&build_rescheduled);
-                let r = self.sim(Stage::Baseline, exe, &measured);
-                CellValue {
-                    cycles: r.cycles,
-                    exit_code: r.exit_code,
-                    avg_bb: dynamic_avg_bb(exe, &r),
-                }
+                run(Stage::Baseline, steps.rescheduled(), true)
             });
             (resched, resched.cycles as f64 / uninst.cycles as f64)
         } else {
@@ -573,22 +581,12 @@ impl Engine {
         let inst = self.cell(
             self.cell_key(bench, "inst", reschedule_first, reschedule_first),
             || {
-                let base: &Executable = if reschedule_first {
-                    rescheduled.get_or_init(&build_rescheduled)
+                let base = if reschedule_first {
+                    steps.rescheduled()
                 } else {
-                    original.get_or_init(&build_original)
+                    steps.original()
                 };
-                let instrumented = self.stage(Stage::Instrument, || {
-                    let mut session = EditSession::new(base).expect("analyzable");
-                    let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
-                    session.emit_unscheduled().expect("instrumentable")
-                });
-                let r = self.sim(Stage::Runs, &instrumented, &measured);
-                CellValue {
-                    cycles: r.cycles,
-                    exit_code: r.exit_code,
-                    avg_bb: 0.0,
-                }
+                run(Stage::Runs, &steps.instrumented(base), false)
             },
         );
 
@@ -596,24 +594,7 @@ impl Engine {
         // Identical across both protocols (the paper's Sched values
         // are the same in Tables 1 and 2), hence a shared cell.
         let sched = self.cell(self.cell_key(bench, "sched", true, false), || {
-            let orig = original.get_or_init(&build_original);
-            let mut session = EditSession::new(orig).expect("analyzable");
-            self.stage(Stage::Instrument, || {
-                let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
-            });
-            let scheduled = self.stage(Stage::Schedule, || {
-                match &traced {
-                    Some(ts) => session.emit(scheduler.transform_with(ts)),
-                    None => session.emit(scheduler.transform_with(&self.telemetry)),
-                }
-                .expect("schedulable")
-            });
-            let r = self.sim(Stage::Runs, &scheduled, &measured);
-            CellValue {
-                cycles: r.cycles,
-                exit_code: r.exit_code,
-                avg_bb: 0.0,
-            }
+            run(Stage::Runs, &steps.scheduled(), false)
         });
 
         // Sanity: all three executions do the same architectural work.
@@ -621,10 +602,6 @@ impl Engine {
         // recalls too.
         assert_eq!(inst.exit_code, baseline.exit_code, "{}", bench.name);
         assert_eq!(sched.exit_code, baseline.exit_code, "{}", bench.name);
-
-        self.stats
-            .stall_queries
-            .fetch_add(scheduler.stall_queries(), Ordering::Relaxed);
 
         Row {
             name: bench.name,
@@ -647,35 +624,7 @@ impl Engine {
         reschedule_first: bool,
         jobs: usize,
     ) -> Vec<Row> {
-        let jobs = jobs.clamp(1, benchmarks.len().max(1));
-        if jobs <= 1 {
-            return benchmarks
-                .iter()
-                .map(|b| self.measure(b, reschedule_first))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Row>>> = benchmarks.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(bench) = benchmarks.get(i) else {
-                        break;
-                    };
-                    let row = self.measure(bench, reschedule_first);
-                    *slots[i].lock().expect("slot lock") = Some(row);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("slot lock")
-                    .expect("every slot filled")
-            })
-            .collect()
+        fan_out(benchmarks, jobs, |b| self.measure(b, reschedule_first))
     }
 
     /// Distills everything this engine has measured so far into a
@@ -721,12 +670,12 @@ impl Engine {
         for (k, v) in extra_meta {
             meta.insert((*k).to_string(), v.clone());
         }
-        let stages = STAGE_NAMES
-            .iter()
-            .zip(&self.stats.stage_nanos)
-            .map(|(name, nanos)| (name.to_string(), nanos.load(Ordering::Relaxed)))
+        let stats = self.stats();
+        let stages = stats
+            .stage_nanos()
+            .map(|(name, nanos)| (name.to_string(), nanos))
             .collect();
-        RunReport::new(meta, stages, &self.telemetry.snapshot())
+        RunReport::new(meta, stages, &stats.snapshot)
     }
 }
 
@@ -750,73 +699,25 @@ pub struct Attribution {
 }
 
 impl Engine {
-    fn sim_attributed(&self, exe: &Executable, measured: &MachineModel) -> RunResult {
-        self.stats.sims.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.add("engine.sims", 1);
-        let config = RunConfig {
-            attribute_stalls: true,
-            ..self.run_config()
-        };
-        self.stage(Stage::Runs, || match self.tracer.as_deref() {
-            None => run_with(exe, Some(measured), &config, &self.telemetry)
-                .expect("generated workloads execute without faults"),
-            Some(tracer) => {
-                tracer.instant("engine", "sim_start", Stage::Runs as u64, 0);
-                let sink = Traced::new(&self.telemetry, tracer);
-                match run_with(exe, Some(measured), &config, &sink) {
-                    Ok(r) => r,
-                    Err(e) => self.flight_abort(tracer, Stage::Runs, &e),
-                }
-            }
-        })
-    }
-
     /// Re-measures the Table 1 `inst` and `sched` executables for one
     /// benchmark with stall attribution enabled.
     ///
     /// Attribution runs bypass the cell caches: profiles are not cell
-    /// values, and keeping the attributed path separate guarantees the
-    /// plain measurement never pays for classification. The attributed
-    /// run's cycle counts are returned alongside the profiles so
-    /// callers can check them against the plain cells (they must
-    /// agree — attribution is observation, not simulation change).
+    /// values, and keeping the attributed runs out of the cells
+    /// guarantees the plain measurement never pays for classification.
+    /// The attributed run's cycle counts are returned alongside the
+    /// profiles so callers can check them against the plain cells (they
+    /// must agree — attribution is observation, not simulation change).
     pub fn attribute(&self, bench: &Benchmark) -> Attribution {
-        let sched_model = self
-            .cfg
-            .scheduler_model
-            .clone()
-            .unwrap_or_else(|| self.model.clone());
-        let scheduler = Scheduler::with_options(sched_model, self.cfg.sched);
-        let measured = self.model.with_load_latency_bias(self.cfg.mem_bias);
-
-        let original = self.stage(Stage::Build, || {
-            bench.build(&BuildOptions {
-                iterations: self.cfg.iterations,
-                optimize: Some(measured.clone()),
-            })
-        });
-        let instrumented = self.stage(Stage::Instrument, || {
-            let mut session = EditSession::new(&original).expect("analyzable");
-            let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
-            session.emit_unscheduled().expect("instrumentable")
-        });
-        let scheduled = {
-            let mut session = EditSession::new(&original).expect("analyzable");
-            self.stage(Stage::Instrument, || {
-                let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
-            });
-            self.stage(Stage::Schedule, || {
-                session
-                    .emit(scheduler.transform_with(&self.telemetry))
-                    .expect("schedulable")
-            })
+        let steps = self.steps(bench);
+        let config = RunConfig {
+            attribute_stalls: true,
+            ..self.run_config()
         };
-
-        let inst = self.sim_attributed(&instrumented, &measured);
-        let sched = self.sim_attributed(&scheduled, &measured);
-        self.stats
-            .stall_queries
-            .fetch_add(scheduler.stall_queries(), Ordering::Relaxed);
+        let instrumented = steps.instrumented(steps.original());
+        let scheduled = steps.scheduled();
+        let inst = self.sim(Stage::Runs, &instrumented, &steps.measured, &config);
+        let sched = self.sim(Stage::Runs, &scheduled, &steps.measured, &config);
         Attribution {
             name: bench.name,
             suite: bench.suite,
@@ -830,34 +731,110 @@ impl Engine {
     /// [`Engine::attribute`] for every benchmark, fanned out over
     /// `jobs` workers; results come back in benchmark order.
     pub fn attribute_table(&self, benchmarks: &[Benchmark], jobs: usize) -> Vec<Attribution> {
-        let jobs = jobs.clamp(1, benchmarks.len().max(1));
-        if jobs <= 1 {
-            return benchmarks.iter().map(|b| self.attribute(b)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Attribution>>> =
-            benchmarks.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(bench) = benchmarks.get(i) else {
-                        break;
-                    };
-                    let attr = self.attribute(bench);
-                    *slots[i].lock().expect("slot lock") = Some(attr);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("slot lock")
-                    .expect("every slot filled")
-            })
-            .collect()
+        fan_out(benchmarks, jobs, |b| self.attribute(b))
     }
+}
+
+/// The build, instrument, and schedule steps of one benchmark's
+/// measurement, shared by [`Engine::measure`] and
+/// [`Engine::attribute`]. Builds are lazy: only a cell that misses
+/// pays for them.
+struct Steps<'e> {
+    engine: &'e Engine,
+    bench: &'e Benchmark,
+    scheduler: Scheduler,
+    measured: MachineModel,
+    traced: Option<Traced<'e>>,
+    original: OnceCell<Executable>,
+    rescheduled: OnceCell<Executable>,
+}
+
+impl Steps<'_> {
+    /// Stage 1: the "compiled" workload.
+    fn original(&self) -> &Executable {
+        self.original.get_or_init(|| {
+            self.engine.stage(Stage::Build, || {
+                self.bench.build(&BuildOptions {
+                    iterations: self.engine.cfg.iterations,
+                    optimize: Some(self.measured.clone()),
+                })
+            })
+        })
+    }
+
+    /// The Table 2 baseline: the original, rescheduled by EEL without
+    /// instrumentation.
+    fn rescheduled(&self) -> &Executable {
+        self.rescheduled.get_or_init(|| {
+            let session = EditSession::new(self.original()).expect("analyzable");
+            self.schedule(&session, "rescheduling preserves structure")
+        })
+    }
+
+    /// Stage 3: `base` with slow profiling, emitted unscheduled.
+    fn instrumented(&self, base: &Executable) -> Executable {
+        self.engine.stage(Stage::Instrument, || {
+            let mut session = EditSession::new(base).expect("analyzable");
+            let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
+            session.emit_unscheduled().expect("instrumentable")
+        })
+    }
+
+    /// Stages 3+4: the original with slow profiling, scheduled by EEL
+    /// together with the original code.
+    fn scheduled(&self) -> Executable {
+        let mut session = EditSession::new(self.original()).expect("analyzable");
+        self.engine.stage(Stage::Instrument, || {
+            let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
+        });
+        self.schedule(&session, "schedulable")
+    }
+
+    /// Stage 4: emits `session` with every block scheduled.
+    fn schedule(&self, session: &EditSession, what: &str) -> Executable {
+        self.engine.stage(Stage::Schedule, || {
+            match &self.traced {
+                Some(ts) => session.emit(self.scheduler.transform_with(ts)),
+                None => session.emit(self.scheduler.transform_with(&self.engine.telemetry)),
+            }
+            .expect(what)
+        })
+    }
+}
+
+/// Maps `f` over `items` on `jobs` scoped worker threads. Results come
+/// back in item order whatever the worker count: each is slotted by
+/// its index.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    jobs: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let jobs = jobs.clamp(1, items.len().max(1));
+    if jobs == 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..jobs {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    break;
+                };
+                *slots[i].lock().expect("slot lock") = Some(f(item));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("slot lock")
+                .expect("every slot filled")
+        })
+        .collect()
 }
 
 /// Dynamic average block size: executed instructions over executed
@@ -876,24 +853,6 @@ fn dynamic_avg_bb(exe: &Executable, result: &RunResult) -> f64 {
     result.instructions as f64 / entries as f64
 }
 
-/// The `--jobs N` / `--jobs=N` worker-count argument, falling back to
-/// `$EEL_JOBS`, then to all available cores.
-pub fn jobs_from_args(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                return usize::max(n, 1);
-            }
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            if let Ok(n) = v.parse() {
-                return usize::max(n, 1);
-            }
-        }
-    }
-    jobs_from_env()
-}
-
 /// `$EEL_JOBS` if set and positive, otherwise all available cores.
 pub fn jobs_from_env() -> usize {
     if let Some(n) = std::env::var("EEL_JOBS")
@@ -907,16 +866,6 @@ pub fn jobs_from_env() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// FNV-1a, the workspace's stable content hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -1270,10 +1219,51 @@ mod tests {
     }
 
     #[test]
-    fn jobs_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(jobs_from_args(&args(&["--csv", "--jobs", "3"])), 3);
-        assert_eq!(jobs_from_args(&args(&["--jobs=7"])), 7);
-        assert!(jobs_from_args(&args(&["--csv"])) >= 1);
+    fn cell_keys_are_pinned() {
+        // Cell keys name the on-disk cache entries: a change to the key
+        // string or the hash function would silently orphan every
+        // existing cache.
+        let model = MachineModel::ultrasparc();
+        let engine = Engine::new(&model, &ExperimentConfig::default());
+        let bench = &cint95()[4]; // 130.li
+        assert_eq!(
+            engine.cell_key(bench, "uninst", false, false),
+            0xc51e_4ef2_5798_0089
+        );
+        assert_eq!(
+            engine.cell_key(bench, "sched", true, false),
+            0x6b24_3efa_9d38_1d59
+        );
+    }
+
+    #[test]
+    fn stats_read_the_registry() {
+        let model = MachineModel::ultrasparc();
+        let engine = Engine::new(&model, &quick());
+        engine.measure(&cint95()[4], false);
+        let stats = engine.stats();
+        let report = engine.run_report("stats", &[]);
+        assert_eq!(stats.sims(), report.counters["engine.sims"]);
+        assert_eq!(stats.computed(), report.counters["engine.cells.computed"]);
+        assert_eq!(stats.stall_queries(), report.counters["sched.queries"]);
+        assert!(stats.stall_queries() > 0);
+        // Every stage ran once at least, and its total is its
+        // histogram's sum.
+        for (name, site) in STAGE_NAMES.iter().zip(STAGE_SITES) {
+            assert_eq!(report.stages[*name], report.histograms[site].sum, "{name}");
+            assert!(report.stages[*name] > 0, "{name}");
+        }
+        let text = stats.report();
+        assert!(
+            text.starts_with("engine: 3 simulator invocations"),
+            "{text}"
+        );
+        assert!(text.contains("schedule-stage ns per query"), "{text}");
+        // A fresh engine reports all five stages, at zero.
+        let idle = Engine::new(&model, &quick()).stats().report();
+        assert!(
+            idle.contains("build 0.00s baseline 0.00s instrument 0.00s schedule 0.00s runs 0.00s"),
+            "{idle}"
+        );
     }
 }

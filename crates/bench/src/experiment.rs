@@ -13,15 +13,26 @@
 //! Table 2 repeats the measurement after first letting EEL reschedule
 //! the original instructions without instrumentation (factoring out
 //! EEL-induced de-scheduling of already-optimized code).
+//!
+//! [`ExperimentRequest::run`] is the one entry point every front end
+//! drives this protocol through: `eel experiment` and the
+//! `table1`/`table2`/`table3` binaries parse the same flags ([`USAGE`])
+//! into a request and differ only by their [`Preset`].
 
 use std::borrow::Borrow;
+use std::process::ExitCode;
+use std::sync::Arc;
 
-use eel_core::SchedOptions;
+use eel_core::{Priority, SchedOptions};
 use eel_pipeline::MachineModel;
 use eel_sim::TimingConfig;
-use eel_workloads::{Benchmark, Suite};
+use eel_telemetry::{RunReport, Tracer};
+use eel_workloads::{load_corpus, spec95, Benchmark, Suite};
 
+use crate::cli::{self, err, Args, CliError};
 use crate::engine::{jobs_from_env, Engine};
+use crate::report::{publish_engine_report, results_dir, write_trace_report_in};
+use crate::shard::{ShardRows, ShardSpec};
 
 /// Scaling and model options for one experiment run.
 #[derive(Debug, Clone)]
@@ -131,22 +142,6 @@ pub fn mean_ratio<R: Borrow<Row>>(rows: &[R], f: impl Fn(&Row) -> f64) -> f64 {
     (log_sum / rows.len() as f64).exp()
 }
 
-/// Runs the full measurement for one benchmark on one machine.
-///
-/// `reschedule_first` selects the Table 2 protocol.
-///
-/// Convenience wrapper over [`Engine::measure`] with a throwaway
-/// in-process cache; callers measuring more than one cell should hold
-/// an [`Engine`] so shared work is reused (and stats accumulate).
-pub fn measure(
-    bench: &Benchmark,
-    model: &MachineModel,
-    cfg: &ExperimentConfig,
-    reschedule_first: bool,
-) -> Row {
-    Engine::new(model, cfg).measure(bench, reschedule_first)
-}
-
 /// Runs a whole table: every benchmark in `benchmarks` on `model`,
 /// fanned out over `$EEL_JOBS` workers (default: all cores). Row order
 /// and contents are independent of the worker count; see
@@ -244,6 +239,366 @@ pub fn format_csv(rows: &[Row]) -> String {
     out
 }
 
+/// The flags every experiment front end reads.
+pub const USAGE: &str = "\
+experiment flags (`eel experiment` and the table1/table2/table3 binaries):
+  --csv                        rows as CSV instead of the paper's table
+  --jobs N                     worker threads (default $EEL_JOBS, then all
+                               cores)
+  --iterations N               override every workload's iteration count
+  --benchmark NAME             measure only this benchmark
+  --corpus golden|full|FILE    the benchmark set: a built-in name or an
+                               eel-corpus-v1 manifest (default golden)
+  --no-cache                   skip the on-disk artifact cache (so does
+                               EEL_NO_CACHE=1)
+  --policy POLICY              the ready-list rule: stalls-first (default),
+                               chain-first, load-delay, lookahead[:k], or
+                               the exact branch-and-bound oracle
+  --exact-budget N             search nodes per block for --policy exact
+  --shard I/N                  run only this worker's 1-indexed slice of
+                               the corpus over the shared artifact cache
+  --rows FILE                  save the slice's rows for `eel merge --rows`
+  --report FILE                write the telemetry run report as JSON
+  --trace | --trace-out FILE   record a flight-recorder trace to
+                               results/TRACE_<hash>.jsonl (or FILE)
+`eel experiment` only (each table binary fixes both):
+  --machine MACHINE            the measured machine (default ultrasparc)
+  --reschedule                 the Table 2 protocol: originals first
+                               rescheduled by EEL
+A table binary publishes its run report and BENCH_engine.json rows only
+for a full run of the default corpus: --benchmark, --corpus, --shard,
+--iterations, --policy, or --exact-budget make it a partial run.
+";
+
+/// What tells the experiment front ends apart.
+#[derive(Debug, Clone, Copy)]
+pub struct Preset {
+    /// The run label: names the run report and trace, and prefixes the
+    /// front end's messages.
+    pub label: &'static str,
+    /// A table binary's fixed `(machine, Table 2 protocol, title)`;
+    /// `None` reads `--machine` and `--reschedule` and derives the
+    /// title (`eel experiment`).
+    pub table: Option<(&'static str, bool, &'static str)>,
+}
+
+/// `eel experiment`: machine and protocol come from the flags.
+pub const EXPERIMENT: Preset = Preset {
+    label: "experiment",
+    table: None,
+};
+
+/// The paper's Table 1.
+pub const TABLE1: Preset = Preset {
+    label: "table1",
+    table: Some((
+        "ultrasparc",
+        false,
+        "Table 1: Slow profiling instrumentation on the UltraSPARC",
+    )),
+};
+
+/// The paper's Table 2.
+pub const TABLE2: Preset = Preset {
+    label: "table2",
+    table: Some((
+        "ultrasparc",
+        true,
+        "Table 2: Slow profiling on the UltraSPARC, originals first rescheduled by EEL",
+    )),
+};
+
+/// The paper's Table 3.
+pub const TABLE3: Preset = Preset {
+    label: "table3",
+    table: Some((
+        "supersparc",
+        false,
+        "Table 3: Slow profiling instrumentation on the SuperSPARC",
+    )),
+};
+
+/// One experiment run, as parsed from the [`USAGE`] flags.
+#[derive(Debug, Clone)]
+pub struct ExperimentRequest {
+    preset: Preset,
+    /// The machine's name as given (recorded in shard row files).
+    machine: String,
+    model: MachineModel,
+    reschedule: bool,
+    /// The table title; a shard run appends its spec when rendering.
+    title: String,
+    cfg: ExperimentConfig,
+    jobs: usize,
+    /// Render CSV rows instead of the paper's table.
+    pub csv: bool,
+    no_cache: bool,
+    corpus: Option<String>,
+    benchmark: Option<String>,
+    shard: ShardSpec,
+    rows: Option<String>,
+    report: Option<String>,
+    /// Record a trace: `Some(None)` into `results/`, `Some(Some(p))`
+    /// to `p`.
+    trace: Option<Option<String>>,
+    /// Whether this is a table binary's full run of the default
+    /// corpus, the only kind that publishes to the results trajectory.
+    pub publishes: bool,
+}
+
+/// What one experiment run produced.
+#[derive(Debug, Clone)]
+pub struct ExperimentOutput {
+    /// The rendered table, or CSV rows.
+    pub table: String,
+    /// The engine's closing stats lines.
+    pub stats: String,
+    /// One `wrote ...` line per artifact written.
+    pub wrote: Vec<String>,
+    /// The run's telemetry report.
+    pub report: RunReport,
+}
+
+impl ExperimentRequest {
+    /// Parses the [`USAGE`] flags under `preset`, consuming `args`.
+    ///
+    /// # Errors
+    ///
+    /// Malformed or unknown flags, including `--machine` and
+    /// `--reschedule` under a table preset.
+    pub fn parse(preset: &Preset, mut args: Args) -> Result<ExperimentRequest, CliError> {
+        let (machine, reschedule) = match preset.table {
+            Some((machine, reschedule, _)) => (machine.to_string(), reschedule),
+            None => (
+                args.value("--machine")?
+                    .unwrap_or_else(|| "ultrasparc".into()),
+                args.flag("--reschedule"),
+            ),
+        };
+        let model = cli::machine(&machine)?;
+        let csv = args.flag("--csv");
+        let no_cache = args.flag("--no-cache");
+        let jobs = args.jobs()?;
+        let iterations = args.parsed::<u32>("--iterations")?;
+        let benchmark = args.value("--benchmark")?;
+        let report = args.value("--report")?;
+        let priority = args
+            .value("--policy")?
+            .map(|p| cli::policy(&p))
+            .transpose()?;
+        let exact_budget = args.parsed::<u32>("--exact-budget")?;
+        let corpus = args.value("--corpus")?;
+        let shard = args
+            .value("--shard")?
+            .map(|s| s.parse::<ShardSpec>().map_err(|e| err(e.to_string())))
+            .transpose()?
+            .unwrap_or_else(ShardSpec::full);
+        let rows = args.value("--rows")?;
+        let trace_flag = args.flag("--trace");
+        let trace_out = args.value("--trace-out")?;
+        args.finish()?;
+        let policy = priority.unwrap_or_default();
+        if exact_budget.is_some() && policy != Priority::Exact {
+            return Err(err("--exact-budget needs --policy exact"));
+        }
+        let title = match preset.table {
+            Some((_, _, title)) => title.to_string(),
+            None => format!(
+                "Slow profiling instrumentation on the {}{}",
+                model.name(),
+                if reschedule {
+                    ", originals first rescheduled"
+                } else {
+                    ""
+                }
+            ),
+        };
+        let policy_note = if policy == Priority::StallsFirst {
+            String::new()
+        } else {
+            format!(", {policy} policy")
+        };
+        let partial = benchmark.is_some()
+            || corpus.is_some()
+            || !shard.is_full()
+            || iterations.is_some()
+            || priority.is_some()
+            || exact_budget.is_some();
+        Ok(ExperimentRequest {
+            preset: *preset,
+            machine,
+            model,
+            reschedule,
+            title: title + &policy_note,
+            cfg: ExperimentConfig {
+                iterations,
+                sched: SchedOptions {
+                    priority: policy,
+                    exact_budget: exact_budget.unwrap_or(eel_core::DEFAULT_EXACT_BUDGET),
+                    ..SchedOptions::default()
+                },
+                ..ExperimentConfig::default()
+            },
+            jobs,
+            csv,
+            no_cache,
+            corpus,
+            benchmark,
+            shard,
+            rows,
+            report,
+            trace: (trace_flag || trace_out.is_some()).then_some(trace_out),
+            publishes: preset.table.is_some() && !partial,
+        })
+    }
+
+    /// Runs the experiment: loads and filters the corpus, measures this
+    /// shard's slice, renders it, and writes the requested artifacts.
+    ///
+    /// # Errors
+    ///
+    /// An unreadable corpus, an unknown benchmark, or a failed write.
+    pub fn run(&self) -> Result<ExperimentOutput, CliError> {
+        let corpus = match &self.corpus {
+            Some(spec) => load_corpus(spec).map_err(|e| err(e.to_string()))?,
+            None => spec95(),
+        };
+        let benchmarks: Vec<Benchmark> = corpus
+            .into_iter()
+            .filter(|b| self.benchmark.as_deref().is_none_or(|f| b.name == f))
+            .collect();
+        if benchmarks.is_empty() {
+            return Err(err(format!(
+                "unknown benchmark `{}`",
+                self.benchmark.as_deref().unwrap_or("")
+            )));
+        }
+        // This worker's slice: `(full corpus index, benchmark)`. The
+        // indices key the merge back into corpus order.
+        let indexed = self.shard.filter(&benchmarks);
+        let mine: Vec<Benchmark> = indexed.iter().map(|(_, b)| b.clone()).collect();
+        let mut engine = Engine::new(&self.model, &self.cfg);
+        if !self.no_cache {
+            engine = engine.with_default_disk_cache();
+        }
+        let tracer = self.trace.is_some().then(|| Arc::new(Tracer::new(1 << 16)));
+        if let Some(t) = &tracer {
+            engine = engine.with_tracer(Arc::clone(t));
+            self.shard.trace_ownership(&benchmarks, t);
+        }
+        let rows = engine.run_table(&mine, self.reschedule, self.jobs);
+        let table = if self.csv {
+            format_csv(&rows)
+        } else if self.shard.is_full() {
+            format_table(&self.title, &self.model, &rows, self.reschedule)
+        } else {
+            let title = format!("{} [shard {}]", self.title, self.shard);
+            format_table(&title, &self.model, &rows, self.reschedule)
+        };
+        let write = |path: &str, body: String| {
+            std::fs::write(path, body).map_err(|e| err(format!("{path}: {e}")))
+        };
+        let mut wrote = Vec::new();
+        if let Some(p) = &self.rows {
+            let sr = ShardRows {
+                title: self.title.clone(),
+                machine: self.machine.clone(),
+                show_resched: self.reschedule,
+                corpus_len: benchmarks.len(),
+                shard: self.shard,
+                rows: indexed.iter().map(|(i, _)| *i).zip(rows).collect(),
+            };
+            write(p, sr.to_text())?;
+            wrote.push(format!("wrote shard rows {p}"));
+        }
+        let label = self.preset.label;
+        let shard_meta = (!self.shard.is_full()).then(|| ("shard", self.shard.to_string()));
+        let mut meta = vec![("jobs", self.jobs.to_string())];
+        meta.extend(shard_meta.clone());
+        let report = engine.run_report(label, &meta);
+        if let Some(p) = &self.report {
+            write(p, report.to_json())?;
+            wrote.push(format!("wrote run report {p}"));
+        }
+        if let (Some(t), Some(out)) = (&tracer, &self.trace) {
+            let mut meta = vec![
+                ("label", label.to_string()),
+                ("machine", self.model.name().to_string()),
+            ];
+            meta.extend(shard_meta);
+            let file = t.trace_file(&meta);
+            let written = match out {
+                Some(p) => {
+                    write(p, file.to_jsonl())?;
+                    std::path::PathBuf::from(p)
+                }
+                None => write_trace_report_in(&file, &results_dir())
+                    .map_err(|e| err(format!("trace write failed: {e}")))?,
+            };
+            wrote.push(format!(
+                "wrote trace {} ({} events)",
+                written.display(),
+                file.events.len()
+            ));
+        }
+        Ok(ExperimentOutput {
+            table,
+            stats: engine.stats().report(),
+            wrote,
+            report,
+        })
+    }
+}
+
+impl ExperimentOutput {
+    /// `eel experiment`'s stdout: the table, the stats, and the
+    /// artifact lines.
+    pub fn render(&self) -> String {
+        let mut out = format!("{}{}\n", self.table, self.stats);
+        for line in &self.wrote {
+            out.push_str(line);
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// A table binary's `main`: the table on stdout, the stats and artifact
+/// lines on stderr, then publication for a full default run. Exits 2
+/// on bad flags and 1 on a failed run.
+pub fn main(preset: &Preset) -> ExitCode {
+    let label = preset.label;
+    let request = match ExperimentRequest::parse(preset, Args::from_env()) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("{label}: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let out = match request.run() {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("{label}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if request.csv {
+        print!("{}", out.table);
+    } else {
+        println!("{}", out.table);
+    }
+    eprintln!("{}", out.stats);
+    for line in &out.wrote {
+        eprintln!("{label}: {line}");
+    }
+    if request.publishes {
+        publish_engine_report(&out.report);
+    } else {
+        eprintln!("{label}: partial run, skipping trajectory publication");
+    }
+    ExitCode::SUCCESS
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,6 +609,15 @@ mod tests {
             iterations: Some(40),
             ..ExperimentConfig::default()
         }
+    }
+
+    fn measure(
+        bench: &Benchmark,
+        model: &MachineModel,
+        cfg: &ExperimentConfig,
+        reschedule_first: bool,
+    ) -> Row {
+        Engine::new(model, cfg).measure(bench, reschedule_first)
     }
 
     #[test]
@@ -313,6 +677,68 @@ mod tests {
                 row.avg_bb,
                 b.target_block_size
             );
+        }
+    }
+
+    fn parse(preset: &Preset, args: &[&str]) -> Result<ExperimentRequest, CliError> {
+        ExperimentRequest::parse(preset, Args::new(args.iter().copied()))
+    }
+
+    #[test]
+    fn table_presets_fix_machine_and_protocol_and_reject_bad_flags() {
+        for (bad, why) in [
+            (
+                &["--machine", "supersparc"][..],
+                "unexpected argument `--machine`",
+            ),
+            (&["--reschedule"], "unexpected argument `--reschedule`"),
+            (&["--jobs", "x"], "bad --jobs"),
+            (&["--cvs"], "unexpected argument `--cvs`"),
+            (&["--shard", "0/4"], "1-indexed"),
+            (
+                &["--exact-budget", "9"],
+                "--exact-budget needs --policy exact",
+            ),
+        ] {
+            let e = parse(&TABLE1, bad).unwrap_err().to_string();
+            assert!(e.contains(why), "{bad:?}: {e}");
+        }
+        let t2 = parse(&TABLE2, &["--csv", "--jobs=2"]).unwrap();
+        assert!(t2.reschedule && t2.csv && t2.publishes);
+        assert_eq!((t2.machine.as_str(), t2.jobs), ("ultrasparc", 2));
+        assert_eq!(t2.title, TABLE2.table.unwrap().2);
+        let t3 = parse(&TABLE3, &["--policy", "chain-first"]).unwrap();
+        assert_eq!(t3.model.name(), "SuperSPARC");
+        assert!(
+            t3.title.ends_with("SuperSPARC, chain-first policy"),
+            "{}",
+            t3.title
+        );
+        let exp = parse(&EXPERIMENT, &["--machine", "vliw", "--reschedule"]).unwrap();
+        assert_eq!(
+            exp.title,
+            "Slow profiling instrumentation on the VLIW, originals first rescheduled"
+        );
+    }
+
+    #[test]
+    fn only_full_default_table_runs_publish() {
+        assert!(
+            parse(&TABLE1, &["--no-cache", "--trace"])
+                .unwrap()
+                .publishes
+        );
+        assert!(!parse(&EXPERIMENT, &[]).unwrap().publishes);
+        for partial in [
+            &["--benchmark", "130.li"][..],
+            &["--corpus", "golden"],
+            &["--shard", "1/2"],
+            &["--iterations", "40"],
+            &["--policy", "stalls-first"],
+            &["--policy", "exact", "--exact-budget", "9"],
+        ] {
+            let request = parse(&TABLE1, partial).unwrap();
+            assert!(!request.publishes, "{partial:?} publishes");
         }
     }
 

@@ -15,10 +15,7 @@
 //! eel pipeline li.eelx --machine MACHINE [--block R:B]
 //! eel explain li.eelx [--machine MACHINE] [--routine R] [--block B]
 //!             [--chrome FILE] [--policy POLICY]
-//! eel experiment [--machine MACHINE] [--reschedule] [--jobs N] [--csv]
-//!                [--iterations N] [--benchmark NAME] [--no-cache]
-//!                [--report FILE] [--policy POLICY]
-//!                [--trace | --trace-out FILE]
+//! eel experiment [FLAGS]        (eel_bench::experiment::USAGE)
 //! eel trace FILE [--chrome OUT] [--check CAT,...] [--limit N]
 //! eel merge --trace FILE... [--out FILE]
 //! eel report FILE [--json]
@@ -32,16 +29,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::error::Error;
-use std::fmt;
 use std::fs;
 
-use eel_bench::engine::{jobs_from_env, Engine};
-use eel_bench::experiment::{format_csv, format_table, ExperimentConfig};
-use eel_bench::report::{
-    gc_run_reports, referenced_run_hashes, results_dir, workspace_root, write_trace_report_in,
-};
-use eel_bench::shard::{merge_rows, ShardRows, ShardSpec};
+use eel_bench::cli::{err, machine, policy, Args};
+use eel_bench::experiment::{format_csv, format_table, ExperimentRequest, EXPERIMENT};
+use eel_bench::report::{gc_run_reports, referenced_run_hashes, results_dir, workspace_root};
+use eel_bench::shard::{merge_rows, ShardRows};
 use eel_core::{Priority, SchedOptions, Scheduler};
 use eel_edit::{Cfg, Edge, EditSession, Executable};
 use eel_pipeline::{chrome_trace, render_issue_trace, MachineModel};
@@ -50,23 +43,9 @@ use eel_sim::{run, RunConfig, TimingConfig};
 use eel_sparc::Instruction;
 use eel_telemetry::json::Json;
 use eel_telemetry::{RunReport, TraceFile};
-use eel_workloads::{load_corpus, spec95, Benchmark, BuildOptions};
+use eel_workloads::{spec95, BuildOptions};
 
-/// A user-facing CLI error (bad arguments, bad files, failed runs).
-#[derive(Debug)]
-pub struct CliError(String);
-
-impl fmt::Display for CliError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl Error for CliError {}
-
-fn err(msg: impl Into<String>) -> CliError {
-    CliError(msg.into())
-}
+pub use eel_bench::cli::CliError;
 
 /// The usage text printed for `--help` or argument errors.
 pub const USAGE: &str = "\
@@ -96,24 +75,9 @@ commands:
                                        optimality gap (N caps search nodes)
   sadl FILE                            compile and validate a machine
       [--groups]                       description; print its timing tables
-  experiment [--machine MACHINE]       run the paper's table protocol over
-      [--reschedule] [--jobs N]        the suite (Table 2 protocol with
-      [--csv] [--iterations N]         --reschedule), fanned out over N
-      [--benchmark NAME] [--no-cache]  workers, with engine stats appended;
-      [--report FILE]                  --report also writes the telemetry
-      [--policy POLICY]                run report as JSON; --policy picks the
-      [--corpus golden|full|FILE]      ready-list rule (stalls-first,
-      [--shard I/N] [--rows FILE]      chain-first, load-delay, lookahead[:k],
-      [--exact-budget N]               or the exact branch-and-bound oracle);
-      [--trace | --trace-out FILE]     --corpus picks the benchmark set (a
-                                       built-in name or an eel-corpus-v1
-                                       manifest); --shard I/N runs only this
-                                       worker's 1-indexed slice over the
-                                       shared artifact cache, and --rows
-                                       saves its rows for `merge`; --trace
-                                       records a flight-recorder trace to
-                                       results/TRACE_<hash>.jsonl (or the
-                                       --trace-out path)
+  experiment [FLAGS]                   run the paper's table protocol over
+                                       the suite, with engine stats appended;
+                                       the flags are listed below
   trace FILE [--chrome OUT]            render a recorded trace: timeline plus
       [--check CAT,...] [--limit N]    the per-category self-time profile
                                        (--limit caps timeline lines, default
@@ -142,46 +106,6 @@ commands:
                                        every run referenced by the repo's
                                        docs or checked-in baselines
 ";
-
-/// Simple flag/value argument cursor.
-struct Args {
-    items: Vec<String>,
-}
-
-impl Args {
-    fn positional(&mut self) -> Option<String> {
-        let i = self.items.iter().position(|a| !a.starts_with("--"))?;
-        Some(self.items.remove(i))
-    }
-
-    fn flag(&mut self, name: &str) -> bool {
-        match self.items.iter().position(|a| a == name) {
-            Some(i) => {
-                self.items.remove(i);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn value(&mut self, name: &str) -> Result<Option<String>, CliError> {
-        let Some(i) = self.items.iter().position(|a| a == name) else {
-            return Ok(None);
-        };
-        if i + 1 >= self.items.len() {
-            return Err(err(format!("{name} needs a value")));
-        }
-        self.items.remove(i);
-        Ok(Some(self.items.remove(i)))
-    }
-
-    fn finish(self) -> Result<(), CliError> {
-        if let Some(extra) = self.items.first() {
-            return Err(err(format!("unexpected argument `{extra}`")));
-        }
-        Ok(())
-    }
-}
 
 /// Where a merged shard report disagrees with a reference run:
 /// counters must match exactly, histograms must have seen the same
@@ -218,28 +142,9 @@ fn counter_mismatches(reference: &RunReport, merged: &RunReport) -> Vec<String> 
     out
 }
 
-fn machine_by_name(name: &str) -> Result<MachineModel, CliError> {
-    match name.to_ascii_lowercase().as_str() {
-        "hypersparc" => Ok(MachineModel::hypersparc()),
-        "supersparc" => Ok(MachineModel::supersparc()),
-        "ultrasparc" => Ok(MachineModel::ultrasparc()),
-        "microsparc" => Ok(MachineModel::microsparc()),
-        "vliw" => Ok(MachineModel::vliw()),
-        "deepsparc" => Ok(MachineModel::deepsparc()),
-        other => Err(err(format!(
-            "unknown machine `{other}` (try: hypersparc, supersparc, ultrasparc, \
-             microsparc, vliw, deepsparc)"
-        ))),
-    }
-}
-
-fn policy_by_name(name: &str) -> Result<Priority, CliError> {
-    Priority::parse(&name.to_ascii_lowercase()).ok_or_else(|| {
-        err(format!(
-            "unknown policy `{name}` (try: stalls-first, chain-first, load-delay, \
-             lookahead[:k], exact)"
-        ))
-    })
+/// [`USAGE`] followed by the experiment flags it refers to.
+fn usage() -> String {
+    format!("{USAGE}\n{}", eel_bench::experiment::USAGE)
 }
 
 /// Indents every non-empty line of a rendered sub-report two spaces.
@@ -279,13 +184,11 @@ fn load_report(path: &str) -> Result<RunReport, CliError> {
 /// Returns a [`CliError`] with a user-facing message on any failure.
 pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
-        return Err(err(USAGE));
+        return Err(err(usage()));
     };
-    let mut args = Args {
-        items: rest.to_vec(),
-    };
+    let mut args = Args::new(rest);
     match cmd.as_str() {
-        "--help" | "-h" | "help" => Ok(USAGE.to_string()),
+        "--help" | "-h" | "help" => Ok(usage()),
         "list-benchmarks" => {
             args.finish()?;
             let mut out = String::new();
@@ -300,14 +203,7 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
         "machines" => {
             args.finish()?;
             let mut out = String::new();
-            for m in [
-                MachineModel::hypersparc(),
-                MachineModel::supersparc(),
-                MachineModel::ultrasparc(),
-                MachineModel::microsparc(),
-                MachineModel::vliw(),
-                MachineModel::deepsparc(),
-            ] {
+            for m in MachineModel::shipped() {
                 out.push_str(&format!(
                     "{:<12} {}-way, {} MHz, {} units, {} timing groups\n",
                     m.name(),
@@ -324,14 +220,8 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
                 .positional()
                 .ok_or_else(|| err("gen needs a benchmark name"))?;
             let out_path = args.value("-o")?.ok_or_else(|| err("gen needs -o FILE"))?;
-            let iterations = args
-                .value("--iterations")?
-                .map(|v| v.parse::<u32>().map_err(|_| err("bad --iterations")))
-                .transpose()?;
-            let optimize = args
-                .value("--optimize")?
-                .map(|m| machine_by_name(&m))
-                .transpose()?;
+            let iterations = args.parsed::<u32>("--iterations")?;
+            let optimize = args.value("--optimize")?.map(|m| machine(&m)).transpose()?;
             args.finish()?;
             let bench = spec95()
                 .into_iter()
@@ -401,10 +291,7 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
                 .value("-o")?
                 .ok_or_else(|| err("instrument needs -o FILE"))?;
             let mode = args.value("--mode")?.unwrap_or_else(|| "slow".into());
-            let schedule = args
-                .value("--schedule")?
-                .map(|m| machine_by_name(&m))
-                .transpose()?;
+            let schedule = args.value("--schedule")?.map(|m| machine(&m)).transpose()?;
             let scavenge = args.flag("--scavenge");
             args.finish()?;
             let exe = load(&path)?;
@@ -462,20 +349,9 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
         }
         "run" => {
             let path = args.positional().ok_or_else(|| err("run needs a file"))?;
-            let machine = args
-                .value("--machine")?
-                .map(|m| machine_by_name(&m))
-                .transpose()?;
-            let branch_penalty = args
-                .value("--branch-penalty")?
-                .map(|v| v.parse::<u32>().map_err(|_| err("bad --branch-penalty")))
-                .transpose()?
-                .unwrap_or(0);
-            let load_bias = args
-                .value("--load-bias")?
-                .map(|v| v.parse::<u32>().map_err(|_| err("bad --load-bias")))
-                .transpose()?
-                .unwrap_or(0);
+            let machine = args.value("--machine")?.map(|m| machine(&m)).transpose()?;
+            let branch_penalty = args.parsed::<u32>("--branch-penalty")?.unwrap_or(0);
+            let load_bias = args.parsed::<u32>("--load-bias")?.unwrap_or(0);
             args.finish()?;
             let exe = load(&path)?;
             let model = machine.map(|m| m.with_load_latency_bias(load_bias));
@@ -506,10 +382,11 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
             let path = args
                 .positional()
                 .ok_or_else(|| err("profile needs a file"))?;
-            let machine = args
-                .value("--machine")?
-                .unwrap_or_else(|| "ultrasparc".into());
-            let model = machine_by_name(&machine)?;
+            let model = machine(
+                &args
+                    .value("--machine")?
+                    .unwrap_or_else(|| "ultrasparc".into()),
+            )?;
             let mode = args.value("--mode")?.unwrap_or_else(|| "slow".into());
             let schedule = args.flag("--schedule");
             args.finish()?;
@@ -567,10 +444,11 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
             let path = args
                 .positional()
                 .ok_or_else(|| err("pipeline needs a file"))?;
-            let machine = args
-                .value("--machine")?
-                .ok_or_else(|| err("pipeline needs --machine"))?;
-            let model = machine_by_name(&machine)?;
+            let model = machine(
+                &args
+                    .value("--machine")?
+                    .ok_or_else(|| err("pipeline needs --machine"))?,
+            )?;
             let block = args.value("--block")?.unwrap_or_else(|| "0:0".into());
             args.finish()?;
             let (r, b) = block
@@ -594,32 +472,23 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
             let path = args
                 .positional()
                 .ok_or_else(|| err("explain needs a file"))?;
-            let machine = args
-                .value("--machine")?
-                .unwrap_or_else(|| "ultrasparc".into());
-            let model = machine_by_name(&machine)?;
-            let routine = args
-                .value("--routine")?
-                .map(|v| v.parse::<usize>().map_err(|_| err("bad --routine")))
-                .transpose()?
-                .unwrap_or(0);
-            let block = args
-                .value("--block")?
-                .map(|v| v.parse::<usize>().map_err(|_| err("bad --block")))
-                .transpose()?;
+            let model = machine(
+                &args
+                    .value("--machine")?
+                    .unwrap_or_else(|| "ultrasparc".into()),
+            )?;
+            let routine = args.parsed::<usize>("--routine")?.unwrap_or(0);
+            let block = args.parsed::<usize>("--block")?;
             let chrome = args.value("--chrome")?;
             let priority = args
                 .value("--policy")?
-                .map(|p| policy_by_name(&p))
+                .map(|p| policy(&p))
                 .transpose()?
                 .unwrap_or_default();
             // `--policy exact` already schedules with the oracle, so it
             // implies the gap rendering `--exact` asks for.
             let exact = args.flag("--exact") || priority == Priority::Exact;
-            let exact_budget = args
-                .value("--exact-budget")?
-                .map(|v| v.parse::<u32>().map_err(|_| err("bad --exact-budget")))
-                .transpose()?;
+            let exact_budget = args.parsed::<u32>("--exact-budget")?;
             args.finish()?;
             if chrome.is_some() && block.is_none() {
                 return Err(err("--chrome needs --block B (one block per trace)"));
@@ -750,169 +619,12 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
             }
             Ok(out)
         }
-        "experiment" => {
-            let machine = args
-                .value("--machine")?
-                .unwrap_or_else(|| "ultrasparc".into());
-            let model = machine_by_name(&machine)?;
-            let reschedule = args.flag("--reschedule");
-            let csv = args.flag("--csv");
-            let no_cache = args.flag("--no-cache");
-            let jobs = args
-                .value("--jobs")?
-                .map(|v| v.parse::<usize>().map_err(|_| err("bad --jobs")))
-                .transpose()?
-                .unwrap_or_else(jobs_from_env)
-                .max(1);
-            let iterations = args
-                .value("--iterations")?
-                .map(|v| v.parse::<u32>().map_err(|_| err("bad --iterations")))
-                .transpose()?;
-            let filter = args.value("--benchmark")?;
-            let report_path = args.value("--report")?;
-            let priority = args
-                .value("--policy")?
-                .map(|p| policy_by_name(&p))
-                .transpose()?
-                .unwrap_or_default();
-            let exact_budget = args
-                .value("--exact-budget")?
-                .map(|v| v.parse::<u32>().map_err(|_| err("bad --exact-budget")))
-                .transpose()?;
-            let corpus_spec = args.value("--corpus")?;
-            let shard = args
-                .value("--shard")?
-                .map(|s| s.parse::<ShardSpec>().map_err(|e| err(e.to_string())))
-                .transpose()?
-                .unwrap_or_else(ShardSpec::full);
-            let rows_path = args.value("--rows")?;
-            let trace_flag = args.flag("--trace");
-            let trace_out = args.value("--trace-out")?;
-            args.finish()?;
-            if exact_budget.is_some() && priority != Priority::Exact {
-                return Err(err("--exact-budget needs --policy exact"));
-            }
-            let corpus: Vec<Benchmark> = match &corpus_spec {
-                Some(spec) => load_corpus(spec).map_err(|e| err(e.to_string()))?,
-                None => spec95(),
-            };
-            let benchmarks: Vec<_> = corpus
-                .into_iter()
-                .filter(|b| filter.as_deref().is_none_or(|f| b.name == f))
-                .collect();
-            if benchmarks.is_empty() {
-                return Err(err(format!(
-                    "unknown benchmark `{}`",
-                    filter.as_deref().unwrap_or("")
-                )));
-            }
-            // This worker's slice: `(full corpus index, benchmark)`.
-            // The indices key the merge back into corpus order.
-            let indexed = shard.filter(&benchmarks);
-            let mine: Vec<Benchmark> = indexed.iter().map(|(_, b)| b.clone()).collect();
-            let cfg = ExperimentConfig {
-                iterations,
-                sched: SchedOptions {
-                    priority,
-                    exact_budget: exact_budget.unwrap_or(eel_core::DEFAULT_EXACT_BUDGET),
-                    ..SchedOptions::default()
-                },
-                ..ExperimentConfig::default()
-            };
-            let mut engine = Engine::new(&model, &cfg);
-            if !no_cache {
-                engine = engine.with_default_disk_cache();
-            }
-            let tracer = (trace_flag || trace_out.is_some())
-                .then(|| std::sync::Arc::new(eel_telemetry::Tracer::new(1 << 16)));
-            if let Some(t) = &tracer {
-                engine = engine.with_tracer(std::sync::Arc::clone(t));
-                shard.trace_ownership(&benchmarks, t);
-            }
-            let rows = engine.run_table(&mine, reschedule, jobs);
-            let protocol = if reschedule {
-                ", originals first rescheduled"
-            } else {
-                ""
-            };
-            let policy_note = if priority == Priority::StallsFirst {
-                String::new()
-            } else {
-                format!(", {priority} policy")
-            };
-            let title = format!(
-                "Slow profiling instrumentation on the {}{protocol}{policy_note}",
-                model.name()
-            );
-            let mut out = if csv {
-                format_csv(&rows)
-            } else if shard.is_full() {
-                format_table(&title, &model, &rows, reschedule)
-            } else {
-                format_table(
-                    &format!("{title} [shard {shard}]"),
-                    &model,
-                    &rows,
-                    reschedule,
-                )
-            };
-            out.push_str(&engine.stats().report());
-            out.push('\n');
-            if let Some(p) = &rows_path {
-                let sr = ShardRows {
-                    title,
-                    machine,
-                    show_resched: reschedule,
-                    corpus_len: benchmarks.len(),
-                    shard,
-                    rows: indexed.iter().map(|(i, _)| *i).zip(rows).collect(),
-                };
-                fs::write(p, sr.to_text()).map_err(|e| err(format!("{p}: {e}")))?;
-                out.push_str(&format!("wrote shard rows {p}\n"));
-            }
-            if let Some(p) = &report_path {
-                let mut meta = vec![("jobs", jobs.to_string())];
-                if !shard.is_full() {
-                    meta.push(("shard", shard.to_string()));
-                }
-                let report = engine.run_report("experiment", &meta);
-                fs::write(p, report.to_json()).map_err(|e| err(format!("{p}: {e}")))?;
-                out.push_str(&format!("wrote run report {p}\n"));
-            }
-            if let Some(t) = &tracer {
-                let mut meta = vec![
-                    ("label", "experiment".to_string()),
-                    ("machine", model.name().to_string()),
-                ];
-                if !shard.is_full() {
-                    meta.push(("shard", shard.to_string()));
-                }
-                let file = t.trace_file(&meta);
-                let written = match &trace_out {
-                    Some(p) => {
-                        fs::write(p, file.to_jsonl()).map_err(|e| err(format!("{p}: {e}")))?;
-                        std::path::PathBuf::from(p)
-                    }
-                    None => write_trace_report_in(&file, &results_dir())
-                        .map_err(|e| err(format!("trace write failed: {e}")))?,
-                };
-                out.push_str(&format!(
-                    "wrote trace {} ({} events)\n",
-                    written.display(),
-                    file.events.len()
-                ));
-            }
-            Ok(out)
-        }
+        "experiment" => Ok(ExperimentRequest::parse(&EXPERIMENT, args)?.run()?.render()),
         "trace" => {
             let path = args.positional().ok_or_else(|| err("trace needs a file"))?;
             let chrome = args.value("--chrome")?;
             let check = args.value("--check")?;
-            let limit = args
-                .value("--limit")?
-                .map(|v| v.parse::<usize>().map_err(|_| err("bad --limit")))
-                .transpose()?
-                .unwrap_or(40);
+            let limit = args.parsed::<usize>("--limit")?.unwrap_or(40);
             args.finish()?;
             let text = fs::read_to_string(&path).map_err(|e| err(format!("{path}: {e}")))?;
             let trace = TraceFile::parse(&text).map_err(|e| err(format!("{path}: {e}")))?;
@@ -987,7 +699,7 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 let (meta, rows) = merge_rows(&parts).map_err(|e| err(e.to_string()))?;
-                let model = machine_by_name(&meta.machine)?;
+                let model = machine(&meta.machine)?;
                 return Ok(if csv {
                     format_csv(&rows)
                 } else {
@@ -1026,11 +738,7 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
         "report" => {
             let json = args.flag("--json");
             if args.flag("--gc") {
-                let keep = args
-                    .value("--keep")?
-                    .map(|v| v.parse::<usize>().map_err(|_| err("bad --keep")))
-                    .transpose()?
-                    .unwrap_or(10);
+                let keep = args.parsed::<usize>("--keep")?.unwrap_or(10);
                 args.finish()?;
                 let referenced = referenced_run_hashes(&workspace_root());
                 let (kept, deleted) = gc_run_reports(&results_dir(), keep, &referenced)
@@ -1079,13 +787,15 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
                 }
             }
         }
-        other => Err(err(format!("unknown command `{other}`\n\n{USAGE}"))),
+        other => Err(err(format!("unknown command `{other}`\n\n{}", usage()))),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eel_bench::shard::ShardSpec;
+    use eel_workloads::load_corpus;
 
     fn call(args: &[&str]) -> Result<String, CliError> {
         let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -1496,6 +1206,68 @@ mod tests {
             .to_string();
         assert!(e.contains("disagrees"), "{e}");
         for f in [&manifest, &ref_report, &r1, &r2, &p1, &p2, &merged_json] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    #[test]
+    fn table1_preset_matches_experiment_apart_from_the_title() {
+        // The table binaries and `eel experiment` are one flow under
+        // two presets: on the same corpus, Table 1's preset and
+        // `--machine ultrasparc` give the same rows and the same shard
+        // row files; only the title differs.
+        let manifest = tmp("preset-corpus.txt");
+        std::fs::write(&manifest, "# eel-corpus-v1\ngen small 2 7\n").unwrap();
+        let (table_rows, experiment_rows) = (tmp("preset-table1.rows"), tmp("preset-exp.rows"));
+        let flags = |rows: &str| {
+            [
+                "--corpus",
+                &manifest,
+                "--no-cache",
+                "--jobs",
+                "1",
+                "--rows",
+                rows,
+            ]
+            .map(String::from)
+        };
+        let request = ExperimentRequest::parse(
+            &eel_bench::experiment::TABLE1,
+            Args::new(flags(&table_rows)),
+        )
+        .unwrap();
+        assert!(!request.publishes, "a manifest corpus is a partial run");
+        let table1 = request.run().unwrap();
+        let argv = [
+            &["experiment", "--machine", "ultrasparc"].map(String::from)[..],
+            &flags(&experiment_rows),
+        ]
+        .concat();
+        let experiment = dispatch(&argv).unwrap();
+
+        let (table1_title, table1_body) = table1.table.split_once('\n').unwrap();
+        let (experiment_title, experiment_rest) = experiment.split_once('\n').unwrap();
+        assert!(
+            experiment_rest.starts_with(table1_body),
+            "rows differ:\n--- table1\n{}\n--- experiment\n{experiment}",
+            table1.table
+        );
+        assert!(table1_title.starts_with("Table 1: "), "{table1_title}");
+        assert!(
+            !experiment_title.starts_with("Table 1: "),
+            "{experiment_title}"
+        );
+        let without_title = |path: &str| {
+            let text = std::fs::read_to_string(path).unwrap();
+            text.lines()
+                .filter(|l| !l.starts_with("title "))
+                .map(|l| format!("{l}\n"))
+                .collect::<String>()
+        };
+        let rows = without_title(&table_rows);
+        assert_eq!(rows, without_title(&experiment_rows));
+        assert_eq!(rows.lines().filter(|l| l.starts_with("row ")).count(), 2);
+        for f in [&manifest, &table_rows, &experiment_rows] {
             std::fs::remove_file(f).ok();
         }
     }

@@ -531,6 +531,7 @@ impl Scheduler {
         );
         self.queries.fetch_add(outcome.queries, Ordering::Relaxed);
         if S::ENABLED {
+            sink.add("sched.queries", outcome.queries);
             sink.add("sched.exact_blocks", 1);
             sink.add("sched.exact_nodes", outcome.nodes);
             sink.add("sched.gap_cycles", outcome.gap());
@@ -1132,6 +1133,42 @@ mod tests {
         let timed = snap.histograms["sched.stall_query_ns"].count;
         assert!(timed > 0);
         assert!(timed <= snap.counters["sched.queries"]);
+    }
+
+    #[test]
+    fn queries_counter_matches_stall_queries_under_every_policy() {
+        let body = vec![
+            orig(ld(IntReg::O0, IntReg::O1)),
+            inst(add(IntReg::G1, IntReg::G1)),
+            orig(add(IntReg::O1, IntReg::O2)),
+            inst(ld(IntReg::G2, IntReg::G3)),
+            orig(add(IntReg::O3, IntReg::O4)),
+            orig(add(IntReg::G3, IntReg::O5)),
+        ];
+        let policies = Priority::ALL.into_iter().chain([Priority::Exact]);
+        for priority in policies {
+            let sched = Scheduler::with_options(
+                MachineModel::ultrasparc(),
+                SchedOptions {
+                    priority,
+                    ..SchedOptions::default()
+                },
+            );
+            let reg = eel_telemetry::Registry::new();
+            sched.schedule_block_with(
+                BlockCode {
+                    body: body.clone(),
+                    tail: vec![],
+                },
+                &reg,
+            );
+            assert!(sched.stall_queries() > 0, "{priority}");
+            assert_eq!(
+                reg.snapshot().counters["sched.queries"],
+                sched.stall_queries(),
+                "{priority}: the sink and the scheduler disagree"
+            );
+        }
     }
 
     #[test]

@@ -264,6 +264,26 @@ impl MachineModel {
             .expect("shipped DeepSPARC description is valid")
     }
 
+    /// Every shipped machine, in `eel machines` order.
+    pub fn shipped() -> Vec<MachineModel> {
+        SHIPPED.iter().map(|(_, build)| build()).collect()
+    }
+
+    /// The command-line names of the shipped machines (their SADL
+    /// `machine` names, lowercased), in [`MachineModel::shipped`] order.
+    pub fn shipped_names() -> impl Iterator<Item = &'static str> {
+        SHIPPED.iter().map(|&(name, _)| name)
+    }
+
+    /// The shipped machine called `name`, compared case-insensitively
+    /// (`ultrasparc`, `UltraSPARC`, ...); `None` for any other name.
+    pub fn by_name(name: &str) -> Option<MachineModel> {
+        SHIPPED
+            .iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, build)| build())
+    }
+
     /// The underlying compiled description.
     pub fn desc(&self) -> &ArchDescription {
         &self.inner.desc
@@ -435,6 +455,19 @@ impl MachineModel {
     }
 }
 
+/// A shipped machine's constructor.
+type ShippedModel = fn() -> MachineModel;
+
+/// The shipped machines by command-line name, in `eel machines` order.
+const SHIPPED: [(&str, ShippedModel); 6] = [
+    ("hypersparc", MachineModel::hypersparc),
+    ("supersparc", MachineModel::supersparc),
+    ("ultrasparc", MachineModel::ultrasparc),
+    ("microsparc", MachineModel::microsparc),
+    ("vliw", MachineModel::vliw),
+    ("deepsparc", MachineModel::deepsparc),
+];
+
 /// Compiles a validated description into the shared table set: the
 /// sparse per-group occupancy (kept for [`MachineModel::usage`] and
 /// the reference pipeline), the dense reservation tables, and the
@@ -446,7 +479,7 @@ fn compile_tables(desc: ArchDescription) -> Result<ModelTables, ModelError> {
         .map(|g| occupancy(g, desc.units.len()))
         .collect();
     let reservations = compile_reservations(&desc, &usage)?;
-    let content_hash = fnv1a(canonical_description(&desc).as_bytes());
+    let content_hash = eel_telemetry::fnv1a(canonical_description(&desc).as_bytes());
     Ok(ModelTables {
         desc,
         usage,
@@ -541,17 +574,6 @@ fn canonical_description(desc: &ArchDescription) -> String {
     s
 }
 
-/// FNV-1a, the workspace's stable content hash (never `DefaultHasher`,
-/// whose output may change between Rust releases).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Rolls a group's acquire/release events into per-cycle cumulative
 /// occupancy. Within a cycle, releases apply before acquires (per the
 /// paper's §3.1).
@@ -583,17 +605,37 @@ mod tests {
 
     #[test]
     fn shipped_models_build() {
-        for m in [
-            MachineModel::hypersparc(),
-            MachineModel::supersparc(),
-            MachineModel::ultrasparc(),
-            MachineModel::vliw(),
-            MachineModel::deepsparc(),
-        ] {
+        for m in MachineModel::shipped() {
             assert!(m.unit_kinds() > 0);
-            assert!(m.issue_width() >= 2);
+            let min_width = if m.name() == "microSPARC" { 1 } else { 2 };
+            assert!(m.issue_width() >= min_width, "{}", m.name());
         }
         assert_eq!(MachineModel::microsparc().issue_width(), 1);
+    }
+
+    #[test]
+    fn shipped_models_round_trip_through_by_name() {
+        let names: Vec<&str> = MachineModel::shipped_names().collect();
+        let models = MachineModel::shipped();
+        assert_eq!(names.len(), models.len());
+        for (name, m) in names.iter().zip(&models) {
+            assert_eq!(*name, m.name().to_ascii_lowercase());
+            for spelling in [m.name().to_string(), name.to_ascii_uppercase()] {
+                let found = MachineModel::by_name(&spelling).expect("shipped name resolves");
+                assert_eq!(found.content_hash(), m.content_hash(), "{spelling}");
+            }
+        }
+        assert!(MachineModel::by_name("z80").is_none());
+    }
+
+    #[test]
+    fn content_hash_is_pinned() {
+        // The hash keys on-disk artifact caches and run reports, so a
+        // change to the hash function would silently orphan them.
+        assert_eq!(
+            MachineModel::ultrasparc().content_hash(),
+            0xbf05_16a0_b09a_5a16
+        );
     }
 
     #[test]
