@@ -350,22 +350,10 @@ pub fn engine_trajectory_metrics(report: &RunReport) -> Vec<(String, f64)> {
 /// `results/`. Called by the table binaries after printing; failures
 /// are reported to stderr, never fatal — telemetry must not break a
 /// table run.
-///
-/// Runs with `EEL_NO_BLOCK_CACHE=1` write their run report but skip
-/// the trajectory: they measure the interpretive reference engine,
-/// and letting them overwrite the `current` rows would silently
-/// record the wrong engine's speed (EXPERIMENTS.md, "Engine
-/// performance").
 pub fn publish_engine_report(report: &RunReport) {
     match write_run_report(report) {
         Ok(path) => eprintln!("run report: {}", path.display()),
         Err(e) => eprintln!("run report write failed: {e}"),
-    }
-    if std::env::var_os("EEL_NO_BLOCK_CACHE").is_some_and(|v| v == "1") {
-        eprintln!(
-            "BENCH_engine.json not updated: EEL_NO_BLOCK_CACHE=1 measures the reference engine"
-        );
-        return;
     }
     let root_path = workspace_root().join("BENCH_engine.json");
     let mut traj = Trajectory::load_or_new(&root_path, "ns (lower is better)");
@@ -452,8 +440,8 @@ impl GateOutcome {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<6} {:<34} {:>14} {:>14} {:>9}  {}",
-            "kind", "metric", "baseline", "fresh", "delta", "verdict"
+            "{:<6} {:<34} {:>14} {:>14} {:>9}  verdict",
+            "kind", "metric", "baseline", "fresh", "delta"
         );
         // Counters are exact integers; time metrics (means included)
         // carry no information past a tenth of a nanosecond.

@@ -553,7 +553,7 @@ mod tests {
         assert_eq!(rows[0].name, "a");
         assert_eq!(rows[1].name, "b");
         assert!(matches!(
-            merge_rows(&[a.clone()]),
+            merge_rows(std::slice::from_ref(&a)),
             Err(ShardFileError::Incomplete { .. })
         ));
         assert!(matches!(

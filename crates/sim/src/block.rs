@@ -1,5 +1,5 @@
-//! Block-memoized timing simulation: the fast path behind
-//! [`crate::run`].
+//! The block engine: the one simulator behind [`crate::run`], for
+//! every [`RunConfig`].
 //!
 //! The interpretive reference loop (`crate::reference`) re-decodes,
 //! re-resolves, and re-times the same hot basic blocks millions of
@@ -52,16 +52,26 @@
 //! back to single-stepping, which shares the timing memo via
 //! one-instruction transitions.
 //!
-//! Runs using a data-cache model or stall attribution take the
-//! reference path instead: both interleave per-instruction pipeline
-//! interaction that block replay cannot batch without changing
-//! observable results.
+//! Each run takes one of three timing shapes over that replay:
+//!
+//! * **Functional** (no model or no timing) — the flat replay alone:
+//!   no pipe, no memo, no `prepare`.
+//! * **Memoized** — the timing memo above, for plain timed runs.
+//! * **Walk** — stall attribution or a data cache. Neither is a
+//!   function of (block content, entry context): a RAW stall's
+//!   producer label can come from an earlier block, and a load's
+//!   hit or miss depends on its address. So each instruction is
+//!   issued through the pipe just before it executes, labeled for
+//!   the stall recorder and probed in the D-cache at its
+//!   pre-execution effective address, in reference order; the memo is
+//!   never consulted. Batched I-cache probes and block-exit predictor
+//!   observation are shared with the memoized shape.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use eel_edit::Executable;
-use eel_pipeline::{BlockTransition, MachineModel, PipelineState, PreparedInsn};
+use eel_pipeline::{BlockTransition, MachineModel, PipelineState, PreparedInsn, StallRecorder};
 use eel_sparc::{
     AluOp, Cond, ControlKind, FCond, FpOp, FpReg, Instruction, IntReg, MemWidth, Operand,
 };
@@ -69,7 +79,7 @@ use eel_telemetry::Sink;
 
 use crate::cpu::{Cpu, Step};
 use crate::error::SimError;
-use crate::icache::ICache;
+use crate::icache::{ICache, ICacheConfig};
 use crate::memory::Memory;
 use crate::predictor::BranchPredictor;
 use crate::run::{RunConfig, RunResult, TimingConfig};
@@ -333,7 +343,8 @@ const HINT_WAYS: usize = 4;
 /// or trap in a delay slot falls back to single-stepping).
 struct SlotInfo {
     insn: Instruction,
-    prepared: PreparedInsn,
+    /// `None` on functional runs, which prepare nothing.
+    prepared: Option<PreparedInsn>,
     op: BlockOp,
     /// fnv1a of the slot word — the same memo key a one-instruction
     /// single-step would use, so fused and stepped executions share
@@ -355,7 +366,8 @@ struct Block {
     start: usize,
     /// Decoded instructions; the terminator is last.
     insns: Vec<Instruction>,
-    /// Model-resolved operands, parallel to `insns`.
+    /// Model-resolved operands, parallel to `insns` (empty on
+    /// functional runs).
     prepared: Vec<PreparedInsn>,
     /// Lowered dispatch table, parallel to `insns` (terminator is
     /// always [`BlockOp::Other`], so replay handles its control flow
@@ -394,7 +406,7 @@ fn build_block(
     text_base: u32,
     text_len: usize,
     start: usize,
-    model: &MachineModel,
+    model: Option<&MachineModel>,
 ) -> Block {
     let mut words = Vec::new();
     let mut insns = Vec::new();
@@ -418,7 +430,7 @@ fn build_block(
         }
     }
     let n = insns.len();
-    let prepared = insns.iter().map(|i| model.prepare(i)).collect();
+    let prepared = model.map_or_else(Vec::new, |m| insns.iter().map(|i| m.prepare(i)).collect());
     let mut ops: Vec<BlockOp> = insns.iter().map(lower).collect();
     // The terminator's control flow (and possible exit) must run
     // through the generic interpreter.
@@ -454,7 +466,7 @@ fn build_block(
             // delay slot single-steps instead.
             (insn.control_kind() == ControlKind::None && !matches!(op, BlockOp::Other)).then(|| {
                 Box::new(SlotInfo {
-                    prepared: model.prepare(&insn),
+                    prepared: model.map(|m| m.prepare(&insn)),
                     op,
                     content: fnv1a64(&[word]),
                     addr,
@@ -500,22 +512,22 @@ struct TimingMemo {
     misses: u64,
 }
 
-/// Everything a block-replay run threads through its loop.
-struct Engine<'a> {
+/// The timing half of a run: the pipeline and everything that charges
+/// cycles to it. Functional-only runs have none.
+struct Timer<'a> {
     model: &'a MachineModel,
-    mem: Memory,
-    cpu: Cpu,
     pipe: PipelineState,
     icache: Option<ICache>,
     predictor: Option<BranchPredictor>,
-    pc_counts: Vec<u64>,
-    taken_counts: Vec<u64>,
-    /// Single-step caches (delay slots, budget boundary), validated
-    /// against the fetched word like the reference loop's.
-    decoded: Vec<Option<(u32, Instruction)>>,
+    /// Present when the run observes every issue; such a run walks the
+    /// pipe instruction by instruction and never touches the memo.
+    walk: Option<Walk>,
+    /// Single-step `prepare` cache (delay slots, budget boundary),
+    /// validated against the fetched word like the decode cache and
+    /// grown on demand like it.
     prepared: Vec<Option<(u32, PreparedInsn)>>,
     /// Per-word `(entry context id, memo entry)` of the most recent
-    /// single-step — the delay-slot analogue of `Block::last_key`.
+    /// single-step — the single-step analogue of `Block::hints`.
     step_last: Vec<(u64, u32)>,
     memo: TimingMemo,
     /// The pipeline-context hash chain (see module docs).
@@ -534,23 +546,52 @@ struct Engine<'a> {
     trail_advance: u64,
     #[cfg(debug_assertions)]
     key_scratch: Vec<u32>,
-    instructions: u64,
-    taken_branches: u64,
-    mem_ops: u64,
     last_complete: u64,
-    builds: u64,
-    fused: u64,
-    decode_rebuilds: u64,
     prepare_rebuilds: u64,
-    text_base: u32,
     taken_penalty: u64,
-    max_instructions: u64,
 }
 
-impl Engine<'_> {
+/// The per-issue observers that make a run walk (see module docs).
+struct Walk {
+    recorder: Option<StallRecorder>,
+    dcache: Option<ICache>,
+}
+
+impl<'a> Timer<'a> {
+    fn new(model: &'a MachineModel, timing: &TimingConfig, attribute_stalls: bool) -> Timer<'a> {
+        let recorder = attribute_stalls.then(StallRecorder::new);
+        let dcache = timing.dcache.map(|c| {
+            ICache::new(ICacheConfig {
+                size: c.size,
+                line: c.line,
+                miss_penalty: c.miss_penalty,
+            })
+        });
+        Timer {
+            model,
+            pipe: PipelineState::new(model),
+            icache: timing.icache.map(ICache::new),
+            predictor: timing.predictor.map(BranchPredictor::new),
+            walk: (recorder.is_some() || dcache.is_some()).then_some(Walk { recorder, dcache }),
+            prepared: Vec::new(),
+            step_last: Vec::new(),
+            memo: TimingMemo::default(),
+            ctx: 0,
+            pending: None,
+            virt_cycle: 0,
+            trail_advance: 0,
+            #[cfg(debug_assertions)]
+            key_scratch: Vec::new(),
+            last_complete: 0,
+            prepare_rebuilds: 0,
+            taken_penalty: u64::from(timing.taken_branch_penalty),
+        }
+    }
+
     /// Advances the issue point and folds the advance into the
     /// context chain. While a transition application is deferred the
     /// advance is only recorded; materialization replays it.
+    #[inline]
     fn advance_pipe(&mut self, cycles: u64) {
         if cycles > 0 {
             self.virt_cycle += cycles;
@@ -669,45 +710,169 @@ impl Engine<'_> {
         i
     }
 
-    /// Executes one instruction on the per-instruction path — delay
-    /// slots, out-of-text program counters (which fault here exactly
-    /// as in the reference), and the tail of the instruction budget.
-    /// Returns the exit code if the program finished.
-    fn step_one(&mut self) -> Result<Option<u32>, SimError> {
-        if self.instructions >= self.max_instructions {
-            return Err(SimError::InstructionLimit {
-                limit: self.max_instructions,
-                retired: self.instructions,
-            });
-        }
-        let pc = self.cpu.pc;
-        let word = self.mem.fetch(pc)?;
-        let word_idx = ((pc - self.text_base) / 4) as usize;
-        self.pc_counts[word_idx] += 1;
-        let insn = match self.decoded[word_idx] {
-            Some((w, i)) if w == word => i,
-            _ => {
-                self.decode_rebuilds += 1;
-                let i = Instruction::decode(word);
-                self.decoded[word_idx] = Some((word, i));
-                i
+    /// Issues one instruction on a walk run, exactly as the reference
+    /// loop does: the issue (attributed and labeled with its text word
+    /// when recording), then the D-cache probe at the effective
+    /// address `cpu` holds *before* the instruction executes, a
+    /// missing load delaying its result.
+    fn walk_issue(&mut self, label: usize, insn: &Instruction, p: &PreparedInsn, cpu: &Cpu) {
+        let walk = self.walk.as_mut().expect("only walk runs issue singly");
+        let info = match walk.recorder.as_mut() {
+            Some(rec) => {
+                let info = self.pipe.issue_with(self.model, insn, p, rec);
+                rec.note_issue(label as u32, insn);
+                info
             }
+            None => self.pipe.issue_prepared(self.model, insn, p),
         };
+        self.last_complete = self.last_complete.max(info.completes);
+        if let (Some(cache), Some(addr)) = (walk.dcache.as_mut(), insn.mem_address()) {
+            if !cache.access(cpu.ea(addr)) && insn.is_load() {
+                self.pipe
+                    .add_result_latency(insn, u64::from(cache.penalty()));
+            }
+        }
+    }
+
+    /// Times a block entry. Fetch probes for every word are issued in
+    /// one pass in program order (identical hit/miss sequence and
+    /// counts to the reference) and the misses recorded as a mask. A
+    /// memo run then times the whole block: the hot case — no misses
+    /// — replays the block's plain timing entry; a miss pattern folds
+    /// into the memo key and its walk interleaves the penalties in
+    /// reference order, so cycles are exact either way. A walk run
+    /// gets the mask and penalty back to charge before each issue.
+    #[inline]
+    fn enter_block(&mut self, block: &mut Block, entry_pc: u32) -> Option<(u64, u64)> {
+        let n = block.insns.len();
+        let mut missmask = 0u64;
+        let mut miss_penalty = 0u64;
+        if let Some(cache) = self.icache.as_mut() {
+            if block.probe_gen == cache.generation() {
+                // No fill since this block last probed all-hit: every
+                // tag it touched is still resident, so a re-probe
+                // would hit on each word and leave the tags untouched.
+                cache.record_hits(n as u64);
+            } else {
+                // One real probe per line: the first block word
+                // touching a line decides hit/miss (and fills on a
+                // miss), so the line's remaining words always hit —
+                // credit them without touching the tags. Identical
+                // per-word hit/miss sequence to the reference.
+                let line_words = (cache.line() / 4).max(1) as usize;
+                let mut i = 0;
+                while i < n {
+                    let addr = entry_pc + 4 * i as u32;
+                    let in_line = line_words - (addr / 4) as usize % line_words;
+                    let span = in_line.min(n - i);
+                    if !cache.access(addr) {
+                        missmask |= 1u64 << i;
+                    }
+                    if span > 1 {
+                        cache.record_hits(span as u64 - 1);
+                    }
+                    i += span;
+                }
+                miss_penalty = u64::from(cache.penalty());
+                // After a full probe every word's line is resident, so
+                // the skip is valid even past misses — unless the
+                // block spans more (consecutive) lines than the cache
+                // has sets, where a later line can evict an earlier
+                // one mid-probe.
+                let line = u64::from(cache.line());
+                let first = u64::from(entry_pc) / line;
+                let last = (u64::from(entry_pc) + 4 * n as u64 - 1) / line;
+                block.probe_gen = if missmask == 0 || (last - first) < cache.sets() as u64 {
+                    cache.generation()
+                } else {
+                    u64::MAX
+                };
+            }
+        }
+        if self.walk.is_some() {
+            return Some((missmask, miss_penalty));
+        }
+        let key = if missmask == 0 {
+            block.content
+        } else {
+            chain(block.content, CTX_MISS, missmask)
+        };
+        let entry_ctx = self.ctx;
+        let way = (entry_ctx as usize) & (HINT_WAYS - 1);
+        let hint = match block.hints[way] {
+            (k, c, e) if k == key && c == entry_ctx => e,
+            _ => NO_ENTRY,
+        };
+        let entry = self.time_sequence(
+            key,
+            &block.insns,
+            &block.prepared,
+            hint,
+            missmask,
+            miss_penalty,
+        );
+        block.hints[way] = (key, entry_ctx, entry);
+        None
+    }
+
+    /// Times a fused delay slot (text word `label`): its I-cache
+    /// probe, then a walk issue or a one-instruction memo sequence
+    /// sharing single-step entries via the word content key.
+    #[inline]
+    fn time_slot(&mut self, slot: &mut SlotInfo, label: usize, cpu: &Cpu) {
+        if let Some(cache) = self.icache.as_mut() {
+            if slot.probe_gen == cache.generation() {
+                cache.record_hits(1);
+            } else if cache.access(slot.addr) {
+                slot.probe_gen = cache.generation();
+            } else {
+                slot.probe_gen = cache.generation();
+                let penalty = u64::from(cache.penalty());
+                self.advance_pipe(penalty);
+            }
+        }
+        let (insn, p) = (slot.insn, slot.prepared.expect("timed runs prepare slots"));
+        if self.walk.is_some() {
+            self.walk_issue(label, &insn, &p, cpu);
+            return;
+        }
+        let entry_ctx = self.ctx;
+        let way = (entry_ctx as usize) & (HINT_WAYS - 1);
+        let hint = match slot.hints[way] {
+            (k, c, e) if k == slot.content && c == entry_ctx => e,
+            _ => NO_ENTRY,
+        };
+        let entry = self.time_sequence(slot.content, &[insn], &[p], hint, 0, 0);
+        slot.hints[way] = (slot.content, entry_ctx, entry);
+    }
+
+    /// Times one single-stepped instruction at `pc` (text word
+    /// `word_idx` holding `word`): its I-cache probe, then a walk
+    /// issue or a one-instruction memo sequence.
+    fn time_step(&mut self, pc: u32, word_idx: usize, word: u32, insn: &Instruction, cpu: &Cpu) {
         if let Some(cache) = self.icache.as_mut() {
             if !cache.access(pc) {
                 let penalty = u64::from(cache.penalty());
                 self.advance_pipe(penalty);
             }
         }
+        if word_idx >= self.prepared.len() {
+            self.prepared.resize(word_idx + 1, None);
+            self.step_last.resize(word_idx + 1, (0, NO_ENTRY));
+        }
         let p = match self.prepared[word_idx] {
             Some((w, p)) if w == word => p,
             _ => {
                 self.prepare_rebuilds += 1;
-                let p = self.model.prepare(&insn);
+                let p = self.model.prepare(insn);
                 self.prepared[word_idx] = Some((word, p));
                 p
             }
         };
+        if self.walk.is_some() {
+            self.walk_issue(word_idx, insn, &p, cpu);
+            return;
+        }
         // A single instruction is a one-element sequence through the
         // same memo (its key is the word's own content hash, so it
         // shares entries with one-instruction blocks). The I-cache
@@ -724,8 +889,83 @@ impl Engine<'_> {
         } else {
             0
         };
-        let entry = self.time_sequence(key, &[insn], &[p], hint, 0, 0);
+        let entry = self.time_sequence(key, &[*insn], &[p], hint, 0, 0);
         self.step_last[word_idx] = (entry_ctx, entry);
+    }
+
+    /// Charges a retired instruction's control-flow penalties in
+    /// reference order: a mispredicted conditional branch at `pc`,
+    /// then a taken transfer.
+    #[inline]
+    fn retire(&mut self, pc: u32, cond_branch: bool, taken: bool) {
+        if cond_branch {
+            if let Some(pred) = self.predictor.as_mut() {
+                if pred.observe(pc, taken) {
+                    let penalty = u64::from(pred.penalty());
+                    self.advance_pipe(penalty);
+                }
+            }
+        }
+        if taken {
+            let penalty = self.taken_penalty;
+            self.advance_pipe(penalty);
+        }
+    }
+}
+
+/// Everything a run threads through its loop.
+struct Engine<'a> {
+    mem: Memory,
+    cpu: Cpu,
+    /// `None` on functional-only runs.
+    timer: Option<Timer<'a>>,
+    pc_counts: Vec<u64>,
+    taken_counts: Vec<u64>,
+    /// Single-step decode cache (delay slots, budget boundary),
+    /// validated against the fetched word like the reference loop's.
+    /// Grown on demand: real workloads seldom single-step.
+    decoded: Vec<Option<(u32, Instruction)>>,
+    instructions: u64,
+    taken_branches: u64,
+    mem_ops: u64,
+    builds: u64,
+    fused: u64,
+    decode_rebuilds: u64,
+    text_base: u32,
+    max_instructions: u64,
+}
+
+impl Engine<'_> {
+    /// Executes one instruction on the per-instruction path — delay
+    /// slots, out-of-text program counters (which fault here exactly
+    /// as in the reference), and the tail of the instruction budget.
+    /// Returns the exit code if the program finished.
+    fn step_one(&mut self) -> Result<Option<u32>, SimError> {
+        if self.instructions >= self.max_instructions {
+            return Err(SimError::InstructionLimit {
+                limit: self.max_instructions,
+                retired: self.instructions,
+            });
+        }
+        let pc = self.cpu.pc;
+        let word = self.mem.fetch(pc)?;
+        let word_idx = ((pc - self.text_base) / 4) as usize;
+        self.pc_counts[word_idx] += 1;
+        if word_idx >= self.decoded.len() {
+            self.decoded.resize(word_idx + 1, None);
+        }
+        let insn = match self.decoded[word_idx] {
+            Some((w, i)) if w == word => i,
+            _ => {
+                self.decode_rebuilds += 1;
+                let i = Instruction::decode(word);
+                self.decoded[word_idx] = Some((word, i));
+                i
+            }
+        };
+        if let Some(t) = self.timer.as_mut() {
+            t.time_step(pc, word_idx, word, &insn, &self.cpu);
+        }
         if insn.is_mem() {
             self.mem_ops += 1;
         }
@@ -733,24 +973,47 @@ impl Engine<'_> {
         self.instructions += 1;
         match step {
             Step::Continue { taken_cti } => {
-                if insn.control_kind() == ControlKind::CondBranch {
-                    if let Some(pred) = self.predictor.as_mut() {
-                        if pred.observe(pc, taken_cti) {
-                            let penalty = u64::from(pred.penalty());
-                            self.advance_pipe(penalty);
-                        }
-                    }
+                if let Some(t) = self.timer.as_mut() {
+                    let cond = insn.control_kind() == ControlKind::CondBranch;
+                    t.retire(pc, cond, taken_cti);
                 }
                 if taken_cti {
                     self.taken_branches += 1;
                     self.taken_counts[word_idx] += 1;
-                    let penalty = self.taken_penalty;
-                    self.advance_pipe(penalty);
                 }
                 Ok(None)
             }
             Step::Exit(code) => Ok(Some(code)),
         }
+    }
+
+    /// [`Engine::exec_block`]'s replay of the block interior on a walk
+    /// run: every instruction, terminator included, issues just before
+    /// it executes (after its I-cache miss penalty when `missmask`
+    /// marks one), so its D-cache probe sees pre-execution registers.
+    /// Out of line, to keep the memoized replay loop tight.
+    #[inline(never)]
+    fn walk_interior(
+        &mut self,
+        block: &Block,
+        entry_pc: u32,
+        missmask: u64,
+        miss_penalty: u64,
+    ) -> Result<(), SimError> {
+        let n = block.insns.len();
+        for i in 0..n {
+            let t = self.timer.as_mut().expect("walk runs are timed");
+            if missmask & (1u64 << i) != 0 {
+                t.pipe.advance(miss_penalty);
+            }
+            let (insn, p) = (&block.insns[i], &block.prepared[i]);
+            t.walk_issue(block.start + i, insn, p, &self.cpu);
+            if i + 1 < n {
+                let pc = entry_pc.wrapping_add(4 * i as u32);
+                self.exec_flat(block.ops[i], insn, pc)?;
+            }
+        }
+        Ok(())
     }
 
     /// Executes one lowered straight-line op against architectural
@@ -851,96 +1114,32 @@ impl Engine<'_> {
         Ok(())
     }
 
-    /// Executes one full pass over a built block: batched I-cache
-    /// probes, memoized timing, flat functional replay, and exit-edge
-    /// bookkeeping. The caller guarantees `cpu.pc` is the block's
-    /// entry and `cpu.npc == pc + 4`.
+    /// Executes one full pass over a built block: timing (batched
+    /// I-cache probes, then memoized replay or a per-issue walk), flat
+    /// functional replay, and exit-edge bookkeeping. The caller
+    /// guarantees `cpu.pc` is the block's entry and `cpu.npc == pc + 4`.
     fn exec_block(&mut self, block: &mut Block) -> Result<Option<u32>, SimError> {
         let n = block.insns.len();
         let entry_pc = self.cpu.pc;
-
-        // Batched fetch modeling: probe every word in one pass in
-        // program order (identical hit/miss sequence and counts to
-        // the reference) and record which instructions missed. The
-        // hot case — no misses — replays the block's plain timing
-        // entry; a miss pattern folds into the memo key and its walk
-        // interleaves the penalties in reference order, so cycles are
-        // exact either way.
-        let mut missmask = 0u64;
-        let mut miss_penalty = 0u64;
-        if let Some(cache) = self.icache.as_mut() {
-            if block.probe_gen == cache.generation() {
-                // No fill since this block last probed all-hit: every
-                // tag it touched is still resident, so a re-probe
-                // would hit on each word and leave the tags untouched.
-                cache.record_hits(n as u64);
-            } else {
-                // One real probe per line: the first block word
-                // touching a line decides hit/miss (and fills on a
-                // miss), so the line's remaining words always hit —
-                // credit them without touching the tags. Identical
-                // per-word hit/miss sequence to the reference.
-                let line_words = (cache.line() / 4).max(1) as usize;
-                let mut i = 0;
-                while i < n {
-                    let addr = entry_pc + 4 * i as u32;
-                    let in_line = line_words - (addr / 4) as usize % line_words;
-                    let span = in_line.min(n - i);
-                    if !cache.access(addr) {
-                        missmask |= 1u64 << i;
-                    }
-                    if span > 1 {
-                        cache.record_hits(span as u64 - 1);
-                    }
-                    i += span;
-                }
-                miss_penalty = u64::from(cache.penalty());
-                // After a full probe every word's line is resident, so
-                // the skip is valid even past misses — unless the
-                // block spans more (consecutive) lines than the cache
-                // has sets, where a later line can evict an earlier
-                // one mid-probe.
-                let line = u64::from(cache.line());
-                let first = u64::from(entry_pc) / line;
-                let last = (u64::from(entry_pc) + 4 * n as u64 - 1) / line;
-                block.probe_gen = if missmask == 0 || (last - first) < cache.sets() as u64 {
-                    cache.generation()
-                } else {
-                    u64::MAX
-                };
-            }
-        }
-        let key = if missmask == 0 {
-            block.content
-        } else {
-            chain(block.content, CTX_MISS, missmask)
-        };
-
-        // Memoized timing for the whole block.
-        let entry_ctx = self.ctx;
-        let way = (entry_ctx as usize) & (HINT_WAYS - 1);
-        let hint = match block.hints[way] {
-            (k, c, e) if k == key && c == entry_ctx => e,
-            _ => NO_ENTRY,
-        };
-        let entry = self.time_sequence(
-            key,
-            &block.insns,
-            &block.prepared,
-            hint,
-            missmask,
-            miss_penalty,
-        );
-        block.hints[way] = (key, entry_ctx, entry);
-
         // Functional replay: flat dispatch over the lowered ops. The
         // interior is straight-line by construction, so pc/npc are not
         // maintained per op — an op's pc is recomputed only for fault
         // payloads, and the architectural pc is materialized once at
         // the terminator.
-        for i in 0..n - 1 {
-            let pc = entry_pc.wrapping_add(4 * i as u32);
-            self.exec_flat(block.ops[i], &block.insns[i], pc)?;
+        match self
+            .timer
+            .as_mut()
+            .and_then(|t| t.enter_block(block, entry_pc))
+        {
+            Some((missmask, miss_penalty)) => {
+                self.walk_interior(block, entry_pc, missmask, miss_penalty)?;
+            }
+            None => {
+                for i in 0..n - 1 {
+                    let pc = entry_pc.wrapping_add(4 * i as u32);
+                    self.exec_flat(block.ops[i], &block.insns[i], pc)?;
+                }
+            }
         }
         let term_pc = entry_pc.wrapping_add(4 * (n as u32 - 1));
         let npc = term_pc.wrapping_add(4);
@@ -998,58 +1197,31 @@ impl Engine<'_> {
         self.instructions += n as u64;
         self.mem_ops += block.mem_ops;
         block.execs += 1;
-        if block.cond_branch {
-            if let Some(pred) = self.predictor.as_mut() {
-                if pred.observe(term_pc, taken_cti) {
-                    let penalty = u64::from(pred.penalty());
-                    self.advance_pipe(penalty);
-                }
-            }
+        if let Some(t) = self.timer.as_mut() {
+            t.retire(term_pc, block.cond_branch, taken_cti);
         }
         if taken_cti {
             self.taken_branches += 1;
             self.taken_counts[block.start + n - 1] += 1;
-            let penalty = self.taken_penalty;
-            self.advance_pipe(penalty);
             // Fused delay slot: a taken transfer leaves `pc` at the
             // slot with a non-sequential `npc` — normally a trip
             // through the single-step path. With the slot precached,
-            // execute it inline: the I-cache probe, memoized timing
-            // (sharing single-step memo entries via the word content
-            // key), and flat functional op happen in the exact order
-            // the reference interleaves them. Skipped at the budget
-            // boundary so the limit fault reports the exact count, and
-            // when the transfer annulled the slot (`pc` is already the
-            // target).
+            // execute it inline: the I-cache probe, timing, and flat
+            // functional op happen in the exact order the reference
+            // interleaves them. Skipped at the budget boundary so the
+            // limit fault reports the exact count, and when the
+            // transfer annulled the slot (`pc` is already the target).
             if let Some(slot) = &mut block.slot {
                 if self.cpu.pc == slot.addr && self.instructions < self.max_instructions {
                     let target = self.cpu.npc;
                     self.pc_counts[block.start + n] += 1;
-                    if let Some(cache) = self.icache.as_mut() {
-                        if slot.probe_gen == cache.generation() {
-                            cache.record_hits(1);
-                        } else if cache.access(slot.addr) {
-                            slot.probe_gen = cache.generation();
-                        } else {
-                            slot.probe_gen = cache.generation();
-                            let penalty = u64::from(cache.penalty());
-                            self.advance_pipe(penalty);
-                        }
+                    if let Some(t) = self.timer.as_mut() {
+                        t.time_slot(slot, block.start + n, &self.cpu);
                     }
-                    let entry_ctx = self.ctx;
-                    let way = (entry_ctx as usize) & (HINT_WAYS - 1);
-                    let hint = match slot.hints[way] {
-                        (k, c, e) if k == slot.content && c == entry_ctx => e,
-                        _ => NO_ENTRY,
-                    };
-                    let insn = slot.insn;
-                    let prepared = slot.prepared;
-                    let entry = self.time_sequence(slot.content, &[insn], &[prepared], hint, 0, 0);
-                    slot.hints[way] = (slot.content, entry_ctx, entry);
                     if slot.is_mem {
                         self.mem_ops += 1;
                     }
-                    let (op, addr) = (slot.op, slot.addr);
+                    let (op, insn, addr) = (slot.op, slot.insn, slot.addr);
                     self.exec_flat(op, &insn, addr)?;
                     self.instructions += 1;
                     self.fused += 1;
@@ -1062,13 +1234,12 @@ impl Engine<'_> {
     }
 }
 
-/// Runs `exe` through the block-replay engine. The caller has already
-/// established eligibility: a timed run with a model, no data cache,
-/// and no stall attribution.
+/// Runs `exe` to completion — functionally when `model` or
+/// `config.timing` is absent, otherwise timed through memoized replay
+/// or, with stall attribution or a data cache, a per-issue walk.
 pub(crate) fn run_blocks<S: Sink>(
     exe: &Executable,
-    model: &MachineModel,
-    timing: &TimingConfig,
+    model: Option<&MachineModel>,
     config: &RunConfig,
     sink: &S,
 ) -> Result<RunResult, SimError> {
@@ -1086,39 +1257,25 @@ pub(crate) fn run_blocks<S: Sink>(
     } else {
         None
     };
-    debug_assert!(timing.dcache.is_none() && !config.attribute_stalls);
     let text_len = exe.text_len();
-    let mem = Memory::load(exe);
+    let timer = model
+        .zip(config.timing.as_ref())
+        .map(|(model, timing)| Timer::new(model, timing, config.attribute_stalls));
     let mut eng = Engine {
-        model,
+        mem: Memory::load(exe),
         cpu: Cpu::new(exe.entry()),
-        pipe: PipelineState::new(model),
-        icache: timing.icache.map(ICache::new),
-        predictor: timing.predictor.map(BranchPredictor::new),
+        timer,
         pc_counts: vec![0u64; text_len],
         taken_counts: vec![0u64; text_len],
-        decoded: vec![None; text_len],
-        prepared: vec![None; text_len],
-        step_last: vec![(0, NO_ENTRY); text_len],
-        memo: TimingMemo::default(),
-        ctx: 0,
-        pending: None,
-        virt_cycle: 0,
-        trail_advance: 0,
-        #[cfg(debug_assertions)]
-        key_scratch: Vec::new(),
+        decoded: Vec::new(),
         instructions: 0,
         taken_branches: 0,
         mem_ops: 0,
-        last_complete: 0,
         builds: 0,
         fused: 0,
         decode_rebuilds: 0,
-        prepare_rebuilds: 0,
         text_base: exe.text_base(),
-        taken_penalty: u64::from(timing.taken_branch_penalty),
         max_instructions: config.max_instructions,
-        mem,
     };
     let mut blocks: Vec<Option<Box<Block>>> = (0..text_len).map(|_| None).collect();
 
@@ -1140,12 +1297,13 @@ pub(crate) fn run_blocks<S: Sink>(
             continue;
         }
         if blocks[word_idx].is_none() {
+            let model = eng.timer.as_ref().map(|t| t.model);
             let block = Box::new(build_block(
                 &eng.mem,
                 eng.text_base,
                 text_len,
                 word_idx,
-                eng.model,
+                model,
             ));
             if S::TRACE_ENABLED {
                 sink.trace_instant(
@@ -1175,17 +1333,17 @@ pub(crate) fn run_blocks<S: Sink>(
     // Expand per-block execution counts into the per-word profile.
     for block in blocks.iter().flatten() {
         if block.execs > 0 {
-            for (i, c) in eng.pc_counts[block.start..block.start + block.insns.len()]
-                .iter_mut()
-                .enumerate()
-            {
-                let _ = i;
+            for c in &mut eng.pc_counts[block.start..block.start + block.insns.len()] {
                 *c += block.execs;
             }
         }
     }
 
-    let cycles = eng.last_complete + 1;
+    let timer = eng.timer;
+    let cycles = timer.as_ref().map_or(0, |t| t.last_complete + 1);
+    let (hits, misses, prepare_rebuilds) = timer.as_ref().map_or((0, 0, 0), |t| {
+        (t.memo.hits, t.memo.misses, t.prepare_rebuilds)
+    });
     if S::ENABLED {
         sink.add("sim.runs", 1);
         sink.add("sim.instructions", eng.instructions);
@@ -1193,11 +1351,11 @@ pub(crate) fn run_blocks<S: Sink>(
         sink.add("sim.mem_ops", eng.mem_ops);
         sink.add("sim.taken_branches", eng.taken_branches);
         sink.add("sim.decode_rebuilds", eng.decode_rebuilds);
-        sink.add("sim.prepare_rebuilds", eng.prepare_rebuilds);
+        sink.add("sim.prepare_rebuilds", prepare_rebuilds);
         sink.add("sim.block_builds", eng.builds);
         sink.add("sim.block_slot_fused", eng.fused);
-        sink.add("sim.block_ctx_hits", eng.memo.hits);
-        sink.add("sim.block_ctx_misses", eng.memo.misses);
+        sink.add("sim.block_ctx_hits", hits);
+        sink.add("sim.block_ctx_misses", misses);
         sink.record("sim.run_cycles", cycles);
         if let Some(t0) = start {
             sink.record("sim.run_ns", t0.elapsed().as_nanos() as u64);
@@ -1207,21 +1365,29 @@ pub(crate) fn run_blocks<S: Sink>(
         // Summaries for the too-hot-to-trace paths: context-memo
         // hit/miss totals (misses ≈ materialized timing walks) and
         // build/fuse totals for the block cache itself.
-        sink.trace_instant("sim", "block_cache", eng.memo.hits, eng.memo.misses);
+        sink.trace_instant("sim", "block_cache", hits, misses);
         sink.trace_instant("sim", "block_totals", eng.builds, eng.fused);
     }
+    let (icache, predictor, walk) = match timer {
+        Some(t) => (t.icache, t.predictor, t.walk),
+        None => (None, None, None),
+    };
+    let (recorder, dcache) = match walk {
+        Some(w) => (w.recorder, w.dcache),
+        None => (None, None),
+    };
     Ok(RunResult {
         instructions: eng.instructions,
         cycles,
         exit_code,
         pc_counts: eng.pc_counts,
-        icache_misses: eng.icache.map(|c| c.misses()).unwrap_or(0),
-        dcache_misses: 0,
-        mispredicts: eng.predictor.map(|p| p.mispredicts()).unwrap_or(0),
+        icache_misses: icache.map_or(0, |c| c.misses()),
+        dcache_misses: dcache.map_or(0, |c| c.misses()),
+        mispredicts: predictor.map_or(0, |p| p.mispredicts()),
         taken_branches: eng.taken_branches,
         mem_ops: eng.mem_ops,
         taken_counts: eng.taken_counts,
         memory: eng.mem,
-        stall_profile: None,
+        stall_profile: recorder.map(StallRecorder::into_profile),
     })
 }

@@ -14,7 +14,7 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 ///
 /// Text is read-only; the data segment (including bss) is backed
 /// directly; any other address falls into demand-zeroed pages.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Memory {
     text_base: u32,
     text: Vec<u32>,

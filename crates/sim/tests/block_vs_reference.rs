@@ -2,9 +2,11 @@
 //! [`eel_sim::run`] must agree **exactly** with the retained
 //! per-instruction [`ReferenceCpu`] — same retired-instruction count,
 //! same cycle count, same exit code or fault, same execution and
-//! taken-edge profiles, same cache/predictor totals, and same final
-//! memory — on randomized programs, on every shipped machine model,
-//! with and without the instruction cache and branch predictor.
+//! taken-edge profiles, same cache/predictor totals, same stall
+//! attribution, and same final memory — on randomized programs, on
+//! every shipped machine model, in every run mode: functional, timed
+//! with and without the instruction cache and branch predictor,
+//! stall-attributed, and with a data cache.
 //!
 //! Programs come from two generators: raw word soup (decode is total,
 //! so arbitrary `u32`s explore the whole instruction space, including
@@ -18,9 +20,10 @@
 use eel_edit::Executable;
 use eel_pipeline::MachineModel;
 use eel_sim::{
-    run, BranchPredictorConfig, ICacheConfig, ReferenceCpu, RunConfig, SimError, TimingConfig,
+    run, run_with, BranchPredictorConfig, DCacheConfig, ICacheConfig, ReferenceCpu, RunConfig,
+    RunResult, SimError, TimingConfig,
 };
-use eel_sparc::{Assembler, Cond, IntReg, Operand};
+use eel_sparc::{Address, Assembler, Cond, Instruction, IntReg, Operand};
 use proptest::prelude::*;
 
 fn shipped_models() -> Vec<MachineModel> {
@@ -72,47 +75,47 @@ fn loop_exe(body: &[u32], iters: u32) -> Executable {
 fn assert_engines_agree(exe: &Executable, model: &MachineModel, cfg: &RunConfig) {
     let fast = run(exe, Some(model), cfg);
     let refr = ReferenceCpu::run(exe, Some(model), cfg);
+    assert_outcomes_agree(fast, refr, model.name());
+}
+
+/// Every field of two run outcomes must match; `on` names the case.
+fn assert_outcomes_agree(
+    fast: Result<RunResult, SimError>,
+    refr: Result<RunResult, SimError>,
+    on: &str,
+) {
     match (fast, refr) {
-        (Err(a), Err(b)) => assert_eq!(a, b, "fault mismatch on {}", model.name()),
+        (Err(a), Err(b)) => assert_eq!(a, b, "fault mismatch on {on}"),
         (Ok(a), Ok(b)) => {
-            assert_eq!(a.instructions, b.instructions, "insns on {}", model.name());
-            assert_eq!(a.cycles, b.cycles, "cycles on {}", model.name());
-            assert_eq!(a.exit_code, b.exit_code, "exit on {}", model.name());
-            assert_eq!(a.pc_counts, b.pc_counts, "pc profile on {}", model.name());
-            assert_eq!(
-                a.taken_counts,
-                b.taken_counts,
-                "taken profile on {}",
-                model.name()
-            );
-            assert_eq!(a.icache_misses, b.icache_misses, "icache misses");
-            assert_eq!(a.mispredicts, b.mispredicts, "mispredicts");
-            assert_eq!(a.taken_branches, b.taken_branches, "taken branches");
-            assert_eq!(a.mem_ops, b.mem_ops, "mem ops");
-            // Final data memory: stores must have replayed identically.
-            let (mut am, mut bm) = (a.memory, b.memory);
-            for off in (0..4096).step_by(4) {
-                let addr = exe.data_base() + off;
-                assert_eq!(
-                    am.read_u32(addr),
-                    bm.read_u32(addr),
-                    "memory at {addr:#x} on {}",
-                    model.name()
-                );
-            }
+            assert_eq!(a.instructions, b.instructions, "insns on {on}");
+            assert_eq!(a.cycles, b.cycles, "cycles on {on}");
+            assert_eq!(a.exit_code, b.exit_code, "exit on {on}");
+            assert_eq!(a.pc_counts, b.pc_counts, "pc profile on {on}");
+            assert_eq!(a.taken_counts, b.taken_counts, "taken profile on {on}");
+            assert_eq!(a.icache_misses, b.icache_misses, "icache misses on {on}");
+            assert_eq!(a.dcache_misses, b.dcache_misses, "dcache misses on {on}");
+            assert_eq!(a.mispredicts, b.mispredicts, "mispredicts on {on}");
+            assert_eq!(a.taken_branches, b.taken_branches, "taken on {on}");
+            assert_eq!(a.mem_ops, b.mem_ops, "mem ops on {on}");
+            assert_eq!(a.stall_profile, b.stall_profile, "attribution on {on}");
+            // Final memory: stores must have replayed identically.
+            assert!(a.memory == b.memory, "final memory on {on}");
+            assert_eq!(a, b, "run results on {on}");
         }
         (a, b) => panic!(
-            "outcome kind mismatch on {}: fast {:?} vs reference {:?}",
-            model.name(),
+            "outcome kind mismatch on {on}: fast {:?} vs reference {:?}",
             a.map(|r| r.exit_code),
             b.map(|r| r.exit_code)
         ),
     }
 }
 
-/// The two timing shapes the block engine specializes: bare pipeline
-/// timing, and the full measured machine with a deliberately tiny
-/// I-cache and predictor so conflict misses and mispredicts are dense.
+/// Every run mode the block engine serves: functional (a model but no
+/// timing), bare pipeline timing, the full measured machine with a
+/// deliberately tiny I-cache and predictor so conflict misses and
+/// mispredicts are dense, and that machine with stall attribution or
+/// with a tiny data cache (both walk every issue instead of replaying
+/// the timing memo).
 fn configs() -> Vec<RunConfig> {
     let bare = RunConfig {
         max_instructions: 20_000,
@@ -136,7 +139,23 @@ fn configs() -> Vec<RunConfig> {
         }),
         ..TimingConfig::default()
     });
-    vec![bare, full]
+    let functional = RunConfig {
+        timing: None,
+        ..bare.clone()
+    };
+    let attributed = RunConfig {
+        attribute_stalls: true,
+        ..full.clone()
+    };
+    let mut dcache = full.clone();
+    if let Some(t) = dcache.timing.as_mut() {
+        t.dcache = Some(DCacheConfig {
+            size: 64,
+            line: 16,
+            miss_penalty: 5,
+        });
+    }
+    vec![functional, bare, full, attributed, dcache]
 }
 
 proptest! {
@@ -175,49 +194,7 @@ proptest! {
         };
         let fast = run(&exe, None, &cfg);
         let refr = ReferenceCpu::run(&exe, None, &cfg);
-        match (fast, refr) {
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.instructions, b.instructions);
-                prop_assert_eq!(a.exit_code, b.exit_code);
-                prop_assert_eq!(a.pc_counts, b.pc_counts);
-            }
-            (a, b) => panic!(
-                "outcome kind mismatch: {:?} vs {:?}",
-                a.map(|r| r.exit_code),
-                b.map(|r| r.exit_code)
-            ),
-        }
-    }
-}
-
-/// The attribution configuration routes both sides through the same
-/// interpretive loop (the block engine is ineligible by design); pin
-/// that the dispatcher preserves profile equality there too.
-#[test]
-fn attributed_runs_still_agree() {
-    let exe = loop_exe(&[0x9001_2008, 0xd222_2004], 40);
-    let model = MachineModel::ultrasparc();
-    let cfg = RunConfig {
-        max_instructions: 20_000,
-        attribute_stalls: true,
-        timing: Some(TimingConfig {
-            taken_branch_penalty: 1,
-            ..TimingConfig::default()
-        }),
-        ..RunConfig::default()
-    };
-    let fast = run(&exe, Some(&model), &cfg);
-    let refr = ReferenceCpu::run(&exe, Some(&model), &cfg);
-    match (fast, refr) {
-        (Ok(a), Ok(b)) => {
-            assert_eq!(a.cycles, b.cycles);
-            assert_eq!(a.instructions, b.instructions);
-            let (ap, bp) = (a.stall_profile, b.stall_profile);
-            assert_eq!(ap.is_some(), bp.is_some());
-            assert_eq!(ap, bp, "stall attribution must agree");
-        }
-        (a, b) => panic!("unexpected outcomes: {a:?} vs {b:?}"),
+        assert_outcomes_agree(fast, refr, "no model");
     }
 }
 
@@ -347,4 +324,72 @@ fn crafted_alternating_branch_mispredicts_identically() {
         "alternation defeats 2-bit counters, got {}",
         fast.mispredicts
     );
+}
+
+/// Crafted D-cache miss in a fused delay slot: the loop's back edge is
+/// taken with a striding load in its delay slot, which the block engine
+/// executes inline after the branch. Every slot load misses a tiny data
+/// cache, and the next iteration's first instruction uses the loaded
+/// value, so the miss latency, the miss count, and the RAW stall
+/// charged to the slot's text word must all match the reference. The
+/// body also loads through a pointer into the pointer's own register,
+/// so probing at the post-execution address would miss differently.
+#[test]
+fn crafted_dcache_miss_in_fused_delay_slot() {
+    let mut a = Assembler::new();
+    let top = a.new_label();
+    a.set(Executable::DEFAULT_DATA_BASE, IntReg::O5);
+    a.set(60, IntReg::L0);
+    a.mov(Operand::imm(0), IntReg::O2);
+    a.bind(top);
+    a.add(IntReg::O3, Operand::imm(1), IntReg::O4); // uses the slot load
+    a.add(IntReg::O5, Operand::Reg(IntReg::O2), IntReg::O1);
+    a.ld(Address::base_imm(IntReg::O1, 0), IntReg::O1); // overwrites its base
+    a.add(IntReg::O2, Operand::imm(32), IntReg::O2);
+    a.subcc(IntReg::L0, Operand::imm(1), IntReg::L0);
+    a.b(Cond::Ne, top);
+    a.ld(Address::base_reg(IntReg::O5, IntReg::O2), IntReg::O3);
+    a.ta(0);
+    let insns = a.finish().unwrap();
+    let slot_word = insns
+        .iter()
+        .rposition(|i| matches!(i, Instruction::Load { .. }))
+        .unwrap() as u32;
+    let mut exe = Executable::from_words(0x10000, insns.iter().map(|i| i.encode()).collect());
+    exe.reserve_bss(4096);
+    let model = MachineModel::ultrasparc();
+    for attribute_stalls in [false, true] {
+        let cfg = RunConfig {
+            timing: Some(TimingConfig {
+                taken_branch_penalty: 1,
+                dcache: Some(DCacheConfig {
+                    size: 64,
+                    line: 16,
+                    miss_penalty: 9,
+                }),
+                ..TimingConfig::default()
+            }),
+            attribute_stalls,
+            ..RunConfig::default()
+        };
+        let reg = eel_telemetry::Registry::new();
+        let fast = run_with(&exe, Some(&model), &cfg, &reg).unwrap();
+        let refr = ReferenceCpu::run(&exe, Some(&model), &cfg).unwrap();
+        assert!(
+            reg.snapshot().counters["sim.block_slot_fused"] >= 59,
+            "the slot load must take the fused path"
+        );
+        assert!(fast.dcache_misses >= 59, "{}", fast.dcache_misses);
+        if let Some(profile) = &fast.stall_profile {
+            assert!(
+                profile
+                    .producers
+                    .keys()
+                    .any(|&(_, label)| label == slot_word),
+                "RAW stalls name the slot load: {:?}",
+                profile.producers
+            );
+        }
+        assert_outcomes_agree(Ok(fast), Ok(refr), "fused slot");
+    }
 }

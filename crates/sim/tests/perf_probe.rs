@@ -45,7 +45,7 @@ fn probe() {
     // Pure covered ALU ops in a long block.
     let mut a = Assembler::new();
     let top = a.new_label();
-    a.set(2_000_00, IntReg::O1);
+    a.set(200_000, IntReg::O1);
     a.bind(top);
     for _ in 0..12 {
         a.add(IntReg::O0, Operand::imm(1), IntReg::O0);
@@ -60,7 +60,7 @@ fn probe() {
     // Word loads/stores, imm offset (covered).
     let mut a = Assembler::new();
     let top = a.new_label();
-    a.set(2_000_00, IntReg::O1);
+    a.set(200_000, IntReg::O1);
     a.set(Executable::DEFAULT_DATA_BASE, IntReg::O5);
     a.bind(top);
     for _ in 0..6 {
@@ -76,7 +76,7 @@ fn probe() {
     // Byte loads (uncovered -> generic step_decoded).
     let mut a = Assembler::new();
     let top = a.new_label();
-    a.set(2_000_00, IntReg::O1);
+    a.set(200_000, IntReg::O1);
     a.set(Executable::DEFAULT_DATA_BASE, IntReg::O5);
     a.bind(top);
     for _ in 0..12 {
@@ -91,7 +91,7 @@ fn probe() {
     // Short blocks: dense branches (block len ~3 + delay slot).
     let mut a = Assembler::new();
     let top = a.new_label();
-    a.set(2_000_00, IntReg::O1);
+    a.set(200_000, IntReg::O1);
     a.bind(top);
     let mut skips = Vec::new();
     for _ in 0..6 {

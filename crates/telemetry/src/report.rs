@@ -721,7 +721,7 @@ mod tests {
         report
             .counters
             .insert("engine.cache.lock_timeouts".into(), 0);
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         h.record(1_500_000);
         h.record(2_000_000);
         report

@@ -1042,9 +1042,7 @@ mod tests {
         assert_eq!(reg.snapshot().counters["work.count"], 2);
         let events = tracer.events();
         assert_eq!(events.len(), 2);
-        assert!(events
-            .iter()
-            .any(|e| e.name == "work" && e.dur_ns > 0 || e.name == "work"));
+        assert!(events.iter().any(|e| e.name == "work"));
         assert!(events.iter().any(|e| e.name == "tick" && e.a0 == 3));
     }
 
