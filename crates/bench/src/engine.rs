@@ -754,10 +754,11 @@ impl Steps<'_> {
     fn original(&self) -> &Executable {
         self.original.get_or_init(|| {
             self.engine.stage(Stage::Build, || {
-                self.bench.build(&BuildOptions {
+                let opts = BuildOptions {
                     iterations: self.engine.cfg.iterations,
                     optimize: Some(self.measured.clone()),
-                })
+                };
+                self.bench.build_with(&opts, &self.engine.telemetry)
             })
         })
     }
@@ -931,6 +932,9 @@ mod tests {
         // every counter total matches; only wall times may differ.
         assert_eq!(s.counters, p.counters, "counters diverge across jobs");
         assert!(s.counters["engine.sims"] > 0);
+        // The build stage counts the workload compiler's work too.
+        assert!(s.counters["compile.evals"] > s.counters["compile.blocks"]);
+        assert!(s.counters["compile.blocks"] > 0);
         for (site, hist) in &s.histograms {
             assert_eq!(
                 hist.count, p.histograms[site].count,

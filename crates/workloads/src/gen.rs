@@ -13,8 +13,9 @@ use rand::{Rng, SeedableRng};
 
 use eel_edit::Executable;
 use eel_sparc::{Address, AluOp, Assembler, Cond, FpOp, FpReg, Instruction, IntReg, Operand};
+use eel_telemetry::Sink;
 
-use crate::compile::optimize_block;
+use crate::compile::optimize_block_with;
 use crate::{Benchmark, BuildOptions, GenShape, Suite};
 
 /// Integer work registers the generator cycles through. `%g1`/`%g2`
@@ -76,7 +77,7 @@ enum Tail {
 
 /// Generation state: tracks which registers were written recently so
 /// dependence chains look like real code.
-struct Gen {
+pub(crate) struct Gen {
     rng: StdRng,
     /// Recently defined integer registers (most recent last).
     recent: Vec<IntReg>,
@@ -87,7 +88,7 @@ struct Gen {
 }
 
 impl Gen {
-    fn new(seed: u64, fp_frac: f64, shape: GenShape) -> Gen {
+    pub(crate) fn new(seed: u64, fp_frac: f64, shape: GenShape) -> Gen {
         Gen {
             rng: StdRng::seed_from_u64(seed),
             recent: vec![IntReg::O0, IntReg::O1],
@@ -153,7 +154,7 @@ impl Gen {
     }
 
     /// One body instruction with the benchmark's mix.
-    fn body_insn(&mut self) -> Instruction {
+    pub(crate) fn body_insn(&mut self) -> Instruction {
         if self.rng.gen_bool(self.fp_frac) {
             return self.fp_insn();
         }
@@ -301,8 +302,9 @@ fn plan_sizes(rng: &mut StdRng, total: usize, count: usize, min: usize) -> Vec<u
     sizes
 }
 
-/// Builds the benchmark into an executable image.
-pub(crate) fn build(bench: &Benchmark, opts: &BuildOptions) -> Executable {
+/// Builds the benchmark into an executable image, counting the
+/// compiler's work on `sink`.
+pub(crate) fn build<S: Sink>(bench: &Benchmark, opts: &BuildOptions, sink: &S) -> Executable {
     let mut gen = Gen::new(bench.seed, bench.fp_fraction, bench.shape);
 
     // Plan the loop-body chain. The final loop-control block costs 3
@@ -355,7 +357,8 @@ pub(crate) fn build(bench: &Benchmark, opts: &BuildOptions) -> Executable {
         } else {
             // The skip decision is short-circuited on `skip_prob > 0`
             // so the default shape draws exactly the original RNG
-            // sequence (golden snapshots pin the generated bytes).
+            // sequence (`tests/optimized_digests.rs` pins the
+            // generated bytes).
             // The last chain block has no block-after-next to skip to.
             let skip = bench.shape.skip_prob > 0.0
                 && bi + 2 <= chain_blocks
@@ -368,7 +371,7 @@ pub(crate) fn build(bench: &Benchmark, opts: &BuildOptions) -> Executable {
         let body_len = size - 2;
         let mut body: Vec<Instruction> = (0..body_len).map(|_| gen.body_insn()).collect();
         if let Some(model) = &opts.optimize {
-            body = optimize_block(model, body);
+            body = optimize_block_with(model, body, sink);
         }
         blocks.push(BlockPlan { body, tail });
     }
@@ -378,7 +381,7 @@ pub(crate) fn build(bench: &Benchmark, opts: &BuildOptions) -> Executable {
         .map(|&size| {
             let mut body: Vec<Instruction> = (0..size - 2).map(|_| gen.body_insn()).collect();
             if let Some(model) = &opts.optimize {
-                body = optimize_block(model, body);
+                body = optimize_block_with(model, body, sink);
             }
             body
         })

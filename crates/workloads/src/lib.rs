@@ -29,7 +29,7 @@ mod gen;
 use eel_edit::Executable;
 use eel_pipeline::MachineModel;
 
-pub use compile::optimize_block;
+pub use compile::{optimize_block, optimize_block_with};
 pub use corpus::{
     corpus_by_name, full_corpus, golden_corpus, intern_name, load_corpus, parse_manifest,
     CorpusError, CORPUS_SCHEMA, FULL_MANIFEST,
@@ -118,7 +118,13 @@ pub struct BuildOptions {
 impl Benchmark {
     /// Builds the benchmark into an executable image.
     pub fn build(&self, opts: &BuildOptions) -> Executable {
-        gen::build(self, opts)
+        self.build_with(opts, &())
+    }
+
+    /// [`Benchmark::build`], counting the workload compiler's work
+    /// (see [`optimize_block_with`]) on `sink`.
+    pub fn build_with<S: eel_telemetry::Sink>(&self, opts: &BuildOptions, sink: &S) -> Executable {
+        gen::build(self, opts, sink)
     }
 
     /// The expected instructions per outer-loop iteration.
@@ -213,6 +219,31 @@ mod tests {
             let cfg = Cfg::build(&exe).unwrap_or_else(|e| panic!("{}: {e}", b.name));
             assert!(cfg.block_count() >= b.chain_blocks, "{}", b.name);
         }
+    }
+
+    #[test]
+    fn compiler_counters_repeat_and_leave_the_output_alone() {
+        // A small FP benchmark whose search keeps some slides.
+        let b = cfp95()
+            .into_iter()
+            .find(|b| b.name == "125.turb3d")
+            .unwrap();
+        let opts = BuildOptions {
+            iterations: Some(2),
+            optimize: Some(MachineModel::ultrasparc()),
+        };
+        let counts = || {
+            let registry = eel_telemetry::Registry::new();
+            let exe = b.build_with(&opts, &registry);
+            assert_eq!(exe.text(), b.build(&opts).text());
+            registry.snapshot().counters
+        };
+        let first = counts();
+        assert_eq!(first, counts());
+        let blocks = first["compile.blocks"];
+        assert!(blocks > 0, "{first:?}");
+        assert!(first["compile.evals"] > blocks, "{first:?}");
+        assert!(first["compile.moves"] > 0, "{first:?}");
     }
 
     #[test]

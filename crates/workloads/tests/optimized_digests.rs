@@ -89,12 +89,25 @@ const SPEC95_DIGESTS: &[(usize, &str, u64)] = &[
 
 #[test]
 fn optimized_spec95_text_is_pinned() {
-    let mut actual = Vec::new();
-    for (mi, model) in machines().iter().enumerate() {
-        for bench in spec95() {
-            actual.push((mi, bench.name, text_digest(&bench, model)));
-        }
-    }
+    // One thread per machine: in a debug build this is the slow part.
+    let actual: Vec<(usize, &str, u64)> = std::thread::scope(|s| {
+        let workers: Vec<_> = machines()
+            .into_iter()
+            .enumerate()
+            .map(|(mi, model)| {
+                s.spawn(move || {
+                    spec95()
+                        .iter()
+                        .map(|b| (mi, b.name, text_digest(b, &model)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("digest worker panicked"))
+            .collect()
+    });
     let table: String = actual
         .iter()
         .map(|(mi, name, d)| format!("    ({mi}, \"{name}\", 0x{d:016x}),\n"))
